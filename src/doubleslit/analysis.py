@@ -238,9 +238,9 @@ def report_rows(
 
 
 def report_text(
-    config: SimConfig, scan: DiffractionScan, report: MissingOrderReport
+    report: MissingOrderReport, rows: tuple[tuple[int, float, float, bool, bool], ...]
 ) -> str:
-    """Plain-text missing-order report block."""
+    """Plain-text missing-order report block; rows come from report_rows."""
     lines = [
         "missing-order report",
         f"  ratio (d+a)/a       : {report.ratio:.12g}",
@@ -249,7 +249,7 @@ def report_text(
         f"  numeric missing     : {list(report.numeric_missing) or 'none'}",
         "  order  beta_rad      intensity      analytic numeric",
     ]
-    for j, b, value, ana, num in report_rows(config, scan, report):
+    for j, b, value, ana, num in rows:
         lines.append(
             f"  {j:>5d}  {b:<12.6g}  {value:<13.6g}  {str(ana):<8s} {num}"
         )

@@ -102,9 +102,10 @@ def run(request: RunRequest) -> int:
             output.write_csv(scan, request.output_path)
         else:  # missing-orders or figure
             report = analysis.missing_orders(config, scan, request.threshold)
-            text = analysis.report_text(config, scan, report)
+            rows = analysis.report_rows(config, scan, report)
+            text = analysis.report_text(report, rows)
             csv_rows = ["order,beta_rad,intensity,missing_analytic,missing_numeric"]
-            for j, b, inten, ana, num in analysis.report_rows(config, scan, report):
+            for j, b, inten, ana, num in rows:
                 csv_rows.append(f"{j},{b:.17g},{inten:.17g},{ana},{num}")
             body = output.scan_csv(scan) + "\n".join(csv_rows) + "\n"
             Path(request.output_path).write_text(body, encoding="utf-8", newline="\n")
@@ -112,6 +113,9 @@ def run(request: RunRequest) -> int:
         if request.plot:
             output.write_plot(scan, str(Path(request.output_path).with_suffix(".svg")))
         return EXIT_OK
+    except quadrature.QuadratureDepthError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESIDUAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

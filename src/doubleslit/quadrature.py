@@ -3,6 +3,12 @@
 Adaptive Simpson with interval bisection, applied to complex integrands.
 The initial panel count scales with the oscillation count of the
 integrand so no oscillation is straddled by a single panel.
+
+The integrator is level-synchronous: each pass bisects up to
+MAX_POINTS // 2 pending panels, taken from a LIFO stack, with a single
+array call of the integrand, and retires the panels that converged.  The
+stack keeps the working set of a pass bounded however many panels an
+integral needs.
 """
 
 from __future__ import annotations
@@ -18,10 +24,14 @@ from .config import HBAR, SimConfig, wavenumber
 from .modes import enumerate_modes, thickness_attenuation
 
 MAX_DEPTH = 60
+# Most points the integrand receives in one call.
+MAX_POINTS = 2048
+# Inner x' integrals the surface oracle runs as one batch.
+SURFACE_Y_CHUNK = 16
 
 
 class QuadratureDepthError(RuntimeError):
-    """Recursion-depth cap reached before convergence."""
+    """Bisection-depth cap reached before convergence."""
 
     def __init__(self, lo: float, hi: float):
         super().__init__(f"adaptive Simpson depth exhausted on subinterval [{lo}, {hi}]")
@@ -30,73 +40,127 @@ class QuadratureDepthError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: complex
-    abs_error_estimate: float
+    """Integral value and error estimate (arrays of length batch for a batch)."""
+
+    value: complex | np.ndarray
+    abs_error_estimate: float | np.ndarray
     evaluations: int
 
 
 def integrate_1d(
-    f: Callable[[float], complex],
+    f: Callable[..., np.ndarray],
     lo: float,
     hi: float,
     tol: float,
     max_depth: int = MAX_DEPTH,
     panels: int = 1,
+    batch: int | None = None,
 ) -> QuadratureResult:
-    """Adaptive Simpson integral of a complex-valued f over [lo, hi]."""
+    """Adaptive Simpson integral of a complex-valued f over [lo, hi].
+
+    f maps a 1-D array of points to the array of its values.  With batch =
+    B, f(x, j) evaluates integrand j[i] at x[i] for B integrands over the
+    same [lo, hi]; each is refined on its own panels to its own full tol,
+    so it gets the value it would get alone (up to the order of summation),
+    and value and abs_error_estimate are arrays of length B.  f never
+    receives more than MAX_POINTS points per call; evaluations counts the
+    points evaluated.
+    """
     if not lo < hi:
         raise ValueError("integration bounds must satisfy lo < hi")
     if tol <= 0:
         raise ValueError("tol must be > 0")
     panels = max(1, int(panels))
+    size = 1 if batch is None else int(batch)
+    g = f if batch is not None else (lambda x, j: f(x))
+    evaluations = 0
 
-    count = [0]
+    def feval(x: np.ndarray, j: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        evaluations += x.size
+        out = np.empty(x.size, dtype=complex)
+        for s in range(0, x.size, MAX_POINTS):
+            out[s : s + MAX_POINTS] = g(x[s : s + MAX_POINTS], j[s : s + MAX_POINTS])
+        return out
 
-    def feval(x: float) -> complex:
-        count[0] += 1
-        return complex(f(x))
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1], edges[1:]
+    nodes = np.concatenate([edges, 0.5 * (a + b)])
+    f0 = feval(np.tile(nodes, size), np.repeat(np.arange(size), nodes.size))
+    f0 = f0.reshape(size, nodes.size)
+    a, b = np.tile(a, size), np.tile(b, size)
+    fa, fb = f0[:, :panels].ravel(), f0[:, 1 : panels + 1].ravel()
+    fm = f0[:, panels + 1 :].ravel()
+    whole = ((b - a) / 6.0) * (fa + 4.0 * fm + fb)
+    depth = np.zeros(a.size, dtype=int)
+    which = np.repeat(np.arange(size), panels)
+    # LIFO stack of pending panels, as blocks of columns
+    # (a, b, fa, fm, fb, whole, depth, which).
+    stack = [(a, b, fa, fm, fb, whole, depth, which)]
 
-    def recurse(a, b, fa, fm, fb, whole, tol_here, depth):
+    value = np.zeros(size, dtype=complex)
+    err = np.zeros(size)
+
+    def retire(j: np.ndarray, v: np.ndarray, e: np.ndarray) -> None:
+        nonlocal value, err
+        value = value + np.bincount(j, v.real, size) + 1j * np.bincount(j, v.imag, size)
+        err = err + np.bincount(j, e, size)
+
+    while stack:
+        # Pop up to MAX_POINTS // 2 panels; each needs two new points.
+        taken = []
+        room = MAX_POINTS // 2
+        while stack and room:
+            block = stack.pop()
+            cut = block[0].size - room
+            if cut > 0:
+                # A copy, so that the block's buffers go with this pass.
+                stack.append(tuple(col[:cut].copy() for col in block))
+                block = tuple(col[cut:] for col in block)
+            taken.append(block)
+            room -= block[0].size
+        columns = taken[0] if len(taken) == 1 else map(np.concatenate, zip(*taken))
+        a, b, fa, fm, fb, whole, depth, which = columns
         m = 0.5 * (a + b)
-        if not a < m < b:
+        split = (a < m) & (m < b)
+        if not split.all():
             # No representable midpoint left; the panel cannot be refined.
-            return whole, 0.0
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = feval(lm)
-        frm = feval(rm)
-        h = b - a
-        left = (h / 12.0) * (fa + 4.0 * flm + fm)
-        right = (h / 12.0) * (fm + 4.0 * frm + fb)
+            flat = ~split
+            retire(which[flat], whole[flat], np.zeros(int(flat.sum())))
+            a, b, m, fa, fm, fb, whole, depth, which = (
+                col[split] for col in (a, b, m, fa, fm, fb, whole, depth, which)
+            )
+        f2 = feval(
+            np.concatenate([0.5 * (a + m), 0.5 * (m + b)]), np.concatenate([which, which])
+        )
+        fl, fr = f2[: a.size], f2[a.size :]
+        h12 = (b - a) / 12.0
+        left = h12 * (fa + 4.0 * fl + fm)
+        right = h12 * (fm + 4.0 * fr + fb)
         est = (left + right - whole) / 15.0
         # Roundoff floor: once the estimate falls below machine noise on the
         # panel's quadrature sum, further bisection cannot improve it.
-        scale = (abs(fa) + 4.0 * abs(flm) + 2.0 * abs(fm) + 4.0 * abs(frm) + abs(fb)) * (
-            h / 12.0
+        scale = (
+            np.abs(fa) + 4.0 * np.abs(fl) + 2.0 * np.abs(fm) + 4.0 * np.abs(fr) + np.abs(fb)
+        ) * h12
+        done = np.abs(est) <= np.maximum(tol / panels * 0.5**depth, 4e-15 * scale)
+        # Richardson extrapolation term included in the value.
+        retire(which[done], (left + right + est)[done], np.abs(est[done]))
+        go = ~done
+        if not go.any():
+            continue
+        deep = np.flatnonzero(go & (depth >= max_depth))
+        if deep.size:
+            raise QuadratureDepthError(float(a[deep[0]]), float(b[deep[0]]))
+        children = (
+            (a, m), (m, b), (fa, fm), (fl, fr), (fm, fb), (left, right),
+            (depth + 1, depth + 1), (which, which),
         )
-        if abs(est) <= max(tol_here, 4e-15 * scale):
-            # Richardson extrapolation term included in the value.
-            return left + right + est, abs(est)
-        if depth >= max_depth:
-            raise QuadratureDepthError(a, b)
-        v1, e1 = recurse(a, m, fa, flm, fm, left, 0.5 * tol_here, depth + 1)
-        v2, e2 = recurse(m, b, fm, frm, fb, right, 0.5 * tol_here, depth + 1)
-        return v1 + v2, e1 + e2
+        stack.append(tuple(np.concatenate([one[go], two[go]]) for one, two in children))
 
-    total = 0j
-    err = 0.0
-    edges = np.linspace(lo, hi, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        a = float(a)
-        b = float(b)
-        fa = feval(a)
-        fm = feval(0.5 * (a + b))
-        fb = feval(b)
-        whole = ((b - a) / 6.0) * (fa + 4.0 * fm + fb)
-        value, e = recurse(a, b, fa, fm, fb, whole, tol / panels, 0)
-        total += value
-        err += e
-    return QuadratureResult(value=total, abs_error_estimate=err, evaluations=count[0])
+    if batch is None:
+        return QuadratureResult(complex(value[0]), float(err[0]), evaluations)
+    return QuadratureResult(value, err, evaluations)
 
 
 def oracle_sine_fourier(p: int, q: float, L: float, tol: float = 1e-12) -> complex:
@@ -105,8 +169,8 @@ def oracle_sine_fourier(p: int, q: float, L: float, tol: float = 1e-12) -> compl
         raise ValueError("p must be a positive odd integer")
     panels = p + math.ceil(abs(q) * L / math.pi) + 1
 
-    def f(y: float) -> complex:
-        return cmath.exp(-1j * q * y) * math.sin(p * math.pi * y / L)
+    def f(y: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * q * y) * np.sin(p * math.pi * y / L)
 
     return integrate_1d(f, 0.0, L, tol * L, panels=panels).value
 
@@ -152,14 +216,24 @@ def oracle_surface_amplitude(
     inner_panels = (2 * max(n_orders) + 1) + math.ceil(abs(q_x) * b / math.pi) + 1
     outer_panels = (2 * max(m_orders) + 1) + math.ceil(abs(q_y) * a / math.pi) + 1
 
-    def outer_f(yp: float) -> complex:
-        coeff_n = np.sin(w_m * yp).astype(complex) @ weight
+    def inner_f(coeff_n: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        def f(xp: np.ndarray, j: np.ndarray) -> np.ndarray:
+            modes = np.einsum("ij,ij->i", coeff_n[j], np.sin(np.outer(xp, w_n)))
+            return np.exp(-1j * q_x * xp) * modes
 
-        def inner_f(xp: float) -> complex:
-            return cmath.exp(-1j * q_x * xp) * complex(coeff_n @ np.sin(w_n * xp))
+        return f
 
-        inner = integrate_1d(inner_f, 0.0, b, inner_tol, panels=inner_panels)
-        return cmath.exp(-1j * q_y * yp) * inner.value
+    def outer_f(yp: np.ndarray) -> np.ndarray:
+        # The inner x' integrals run as batches of SURFACE_Y_CHUNK y' values.
+        out = np.empty(yp.size, dtype=complex)
+        for s in range(0, yp.size, SURFACE_Y_CHUNK):
+            chunk = yp[s : s + SURFACE_Y_CHUNK]
+            coeff_n = np.sin(np.outer(chunk, w_m)) @ weight
+            inner = integrate_1d(
+                inner_f(coeff_n), 0.0, b, inner_tol, panels=inner_panels, batch=chunk.size
+            )
+            out[s : s + SURFACE_Y_CHUNK] = np.exp(-1j * q_y * chunk) * inner.value
+        return out
 
     outer = integrate_1d(outer_f, 0.0, a, outer_tol, panels=outer_panels)
     envelope = (

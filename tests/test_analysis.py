@@ -215,6 +215,6 @@ class TestReports:
             assert j >= 1 and beta >= 0.0 and intensity >= 0.0
             assert analytic == (j in report.analytic_missing)
             assert numeric == (j in report.numeric_missing)
-        text = report_text(cfg, result, report)
+        text = report_text(report, rows)
         assert "missing-order report" in text
         assert f"{report.ratio:.12g}" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from doubleslit import cli, farfield, output
+from doubleslit import cli, farfield, output, quadrature
 from doubleslit.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, RunRequest, run
 from doubleslit.config import parse_config, with_detector
 from doubleslit.farfield import scan
@@ -170,6 +170,20 @@ class TestOracleCheckMode:
         cfg_path = write_config(tmp_path, FAST_KEYS)
         status = run(RunRequest(cfg_path, str(tmp_path / "r.csv"), "oracle-check"))
         assert status == EXIT_RESIDUAL
+
+    def test_non_converging_oracle_is_reported_cleanly(self, tmp_path, monkeypatch, capsys):
+        def stuck(p, q, L, tol):
+            raise quadrature.QuadratureDepthError(0.25, 0.5)
+
+        monkeypatch.setattr(quadrature, "oracle_sine_fourier", stuck)
+        cfg_path = write_config(tmp_path, FAST_KEYS)
+        out = tmp_path / "r.csv"
+        status = run(RunRequest(cfg_path, str(out), "oracle-check"))
+        assert status == EXIT_RESIDUAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "[0.25, 0.5]" in err
+        assert not out.exists()
 
 
 class TestExitStatusContract:

@@ -199,7 +199,7 @@ class TestSlitAmplitudes:
                 w_m = (2 * t.index.m + 1) * math.pi / a
                 x_n = sine_fourier_integral(2 * t.index.n + 1, q_x, b)
                 y_m = integrate_1d(
-                    lambda y: cmath.exp(-1j * q_y * y) * math.sin(w_m * (y - shift)),
+                    lambda y: np.exp(-1j * q_y * y) * np.sin(w_m * (y - shift)),
                     shift,
                     shift + a,
                     1e-16,

@@ -32,8 +32,8 @@ def fourier_projection_oracle(m: int, n: int, amplitude: float) -> float:
     of two 1D quadratures.
     """
     a, b = 1.0, 1.0  # the coefficient is scale-free in a and b
-    ix = integrate_1d(lambda x: math.sin((2 * n + 1) * math.pi * x / b), 0, b, 1e-14)
-    iy = integrate_1d(lambda y: math.sin((2 * m + 1) * math.pi * y / a), 0, a, 1e-14)
+    ix = integrate_1d(lambda x: np.sin((2 * n + 1) * math.pi * x / b), 0, b, 1e-14)
+    iy = integrate_1d(lambda y: np.sin((2 * m + 1) * math.pi * y / a), 0, a, 1e-14)
     return 4.0 / (a * b) * amplitude * ix.value.real * iy.value.real
 
 

@@ -1,14 +1,21 @@
 """Adaptive-quadrature oracle: 1D integrator and Kirchhoff surface checks."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from doubleslit import quadrature
 from doubleslit.config import parse_config, with_truncation, wavenumber
 from doubleslit.farfield import DirectionAngles, sine_fourier_integral, slit1_amplitude
 from doubleslit.modes import TruncationWarning, enumerate_modes, thickness_attenuation
 from doubleslit.quadrature import (
+    MAX_POINTS,
     QuadratureDepthError,
     QuadratureResult,
     integrate_1d,
@@ -19,19 +26,19 @@ from doubleslit.quadrature import (
 
 class TestIntegrate1D:
     def test_complex_exponential(self):
-        got = integrate_1d(lambda x: cmath.exp(1j * x), 0.0, 1.0, 1e-12)
+        got = integrate_1d(lambda x: np.exp(1j * x), 0.0, 1.0, 1e-12)
         expected = complex(math.sin(1.0), 1.0 - math.cos(1.0))
         assert got.value == pytest.approx(expected, abs=1e-12)
         assert got.abs_error_estimate >= 0.0
 
     def test_constant_is_exact(self):
-        got = integrate_1d(lambda x: 1.0, 0.0, 1.0, 1e-12)
+        got = integrate_1d(np.ones_like, 0.0, 1.0, 1e-12)
         assert got.value == 1.0 + 0j
         assert got.evaluations >= 3
 
     def test_half_sine_antiderivative(self):
         a = 2.9e-8
-        got = integrate_1d(lambda y: math.sin(math.pi * y / a), 0.0, a, 1e-14 * a)
+        got = integrate_1d(lambda y: np.sin(math.pi * y / a), 0.0, a, 1e-14 * a)
         assert got.value.real == pytest.approx(2 * a / math.pi, rel=1e-12)
 
     def test_result_type(self):
@@ -46,17 +53,128 @@ class TestIntegrate1D:
             integrate_1d(lambda x: x, 0.0, 1.0, 0.0)
 
     def test_depth_exhaustion_reports_subinterval(self):
-        step = lambda x: 1.0 if x < 0.3 else 0.0  # noqa: E731
+        step = lambda x: np.where(x < 0.3, 1.0, 0.0)  # noqa: E731
         with pytest.raises(QuadratureDepthError) as exc:
             integrate_1d(step, 0.0, 1.0, 1e-15, max_depth=6)
         lo, hi = exc.value.subinterval
         assert 0.0 <= lo < hi <= 1.0
+        # The panel that cannot converge is the one holding the step.
+        assert lo <= 0.3 <= hi
+        assert f"[{lo}, {hi}]" in str(exc.value)
+
+    def test_panel_without_interior_midpoint_keeps_its_simpson_value(self):
+        hi = np.nextafter(1.0, 2.0)
+        got = integrate_1d(np.ones_like, 1.0, hi, 1e-300)
+        assert got.value == pytest.approx(hi - 1.0, rel=1e-15)
+        assert got.abs_error_estimate == 0.0
+        assert got.evaluations == 3
 
     def test_self_consistency_under_tolerance_halving(self):
-        f = lambda x: cmath.exp(-1j * 40 * x) * math.sin(3 * x)  # noqa: E731
+        f = lambda x: np.exp(-1j * 40 * x) * np.sin(3 * x)  # noqa: E731
         first = integrate_1d(f, 0.0, 1.0, 1e-8, panels=16)
         second = integrate_1d(f, 0.0, 1.0, 5e-9, panels=16)
         assert abs(first.value - second.value) <= max(first.abs_error_estimate, 1e-15)
+
+
+def _spy(f, calls):
+    """Wrap f so that the size of each call's point array is recorded."""
+
+    def spied(x, *rest):
+        calls.append(x.size)
+        return f(x, *rest)
+
+    return spied
+
+
+class TestBatchesAndPointCap:
+    FREQS = np.array([0.0, 3.0, 17.0, 55.0])
+
+    def integrand(self, x, j):
+        return np.exp(1j * self.FREQS[j] * x) * np.sin(2.5 * x + self.FREQS[j])
+
+    def test_batch_matches_each_integrand_alone(self):
+        tol = 1e-11
+        batch = integrate_1d(self.integrand, 0.0, 2.0, tol, panels=20, batch=len(self.FREQS))
+
+        def integrate_alone(i):
+            return integrate_1d(
+                lambda x: self.integrand(x, np.full(x.size, i)), 0.0, 2.0, tol, panels=20
+            )
+
+        alone = [integrate_alone(i) for i in range(len(self.FREQS))]
+        assert batch.value.shape == batch.abs_error_estimate.shape == (len(self.FREQS),)
+        # Each integrand is refined on its own panels to its own full tol,
+        # so the batch evaluates exactly the points the lone runs evaluate.
+        assert batch.evaluations == sum(r.evaluations for r in alone)
+        for got, ref in zip(batch.value, alone):
+            assert got == pytest.approx(ref.value, rel=1e-14, abs=1e-16)
+        for got, ref in zip(batch.abs_error_estimate, alone):
+            assert got == pytest.approx(ref.abs_error_estimate, rel=1e-12, abs=1e-30)
+
+    def test_integrand_never_receives_more_than_the_cap(self):
+        calls = []
+        # With panels > MAX_POINTS even the first evaluation exceeds the cap,
+        # and the oscillating integrand then needs many more panels.
+        f = _spy(lambda x: np.exp(-1j * 300.0 * x) * np.sin(7.0 * x), calls)
+        got = integrate_1d(f, 0.0, 3.0, 1e-10, panels=MAX_POINTS + 7)
+        assert got.evaluations > 4 * MAX_POINTS
+        assert got.evaluations == sum(calls)
+        assert max(calls) == MAX_POINTS
+        assert all(0 < n <= MAX_POINTS for n in calls)
+
+        calls.clear()
+        got = integrate_1d(
+            _spy(self.integrand, calls), 0.0, 10.0, 1e-10, panels=100, batch=len(self.FREQS)
+        )
+        assert got.evaluations == sum(calls) > 4 * MAX_POINTS
+        assert all(0 < n <= MAX_POINTS for n in calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.integers(-30, 30)),
+            min_size=1,
+            max_size=5,
+        ),
+        lo=st.floats(-3.0, 3.0),
+        width=st.floats(0.1, 4.0),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
+    )
+    def test_trig_polynomial_matches_antiderivative(self, coeffs, lo, width, tol):
+        # f(x) = sum c_k exp(i w_k x); its antiderivative is elementary.
+        c = np.array([complex(re, im) for re, im, _ in coeffs])
+        w = np.array([float(k) for _, _, k in coeffs])
+        hi = lo + width
+
+        def antiderivative(x):
+            return sum(
+                ck * x if wk == 0.0 else ck * cmath.exp(1j * wk * x) / (1j * wk)
+                for ck, wk in zip(c, w)
+            )
+
+        # One panel per half oscillation at least, as the oracles choose.
+        panels = math.ceil(float(np.abs(w).max()) * width / math.pi) + 1
+        got = integrate_1d(
+            lambda x: np.exp(1j * np.outer(x, w)) @ c, lo, hi, tol, panels=panels
+        )
+        exact = antiderivative(hi) - antiderivative(lo)
+        assert abs(got.value - exact) <= tol + got.abs_error_estimate
+
+
+def test_oracle_imports_nothing_from_the_closed_forms():
+    # The oracle checks farfield and kernels, so it must not use them.
+    tree = ast.parse(Path(quadrature.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module.rsplit(".", 1)[-1])
+            if module in ("", "doubleslit"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert {"config", "modes"} <= imported
+    assert not imported & {"farfield", "kernels"}
 
 
 class TestOracleSineFourier:
