@@ -41,11 +41,10 @@ class MissingOrderReport:
 
 def find_peaks(scan: DiffractionScan, hbar: float = HBAR) -> tuple[Peak, ...]:
     """Interior local maxima of the total intensity, quadratically refined."""
-    rows = scan.rows
-    if len(rows) < 3:
+    beta = scan.beta
+    inten = scan.intensity_total
+    if beta.size < 3:
         raise ValueError("scan must have at least 3 rows")
-    beta = np.array([r.beta for r in rows])
-    inten = np.array([r.intensity_total for r in rows])
 
     orders = two_slit_order_angles(scan.config_echo, j_max=10_000, hbar=hbar)
     lam = de_broglie_wavelength(scan.config_echo.beam, hbar)
@@ -54,22 +53,23 @@ def find_peaks(scan: DiffractionScan, hbar: float = HBAR) -> tuple[Peak, ...]:
     )
 
     peaks = []
-    for i in range(1, len(rows) - 1):
-        if inten[i] > inten[i - 1] and inten[i] >= inten[i + 1]:
-            denom = inten[i - 1] - 2.0 * inten[i] + inten[i + 1]
-            if denom < 0.0:
-                offset = 0.5 * (inten[i - 1] - inten[i + 1]) / denom
-                b_hat = beta[i] + offset * (beta[i + 1] - beta[i])
-                i_hat = inten[i] - 0.25 * (inten[i - 1] - inten[i + 1]) * offset
-            else:
-                b_hat, i_hat = beta[i], inten[i]
-            order = None
-            if orders:
-                s_hat = math.sin(b_hat)
-                j_near = min(orders, key=lambda oj: abs(math.sin(oj[1]) - s_hat))
-                if abs(math.sin(j_near[1]) - s_hat) <= 0.25 * spacing:
-                    order = j_near[0]
-            peaks.append(Peak(beta=float(b_hat), intensity=float(i_hat), order_index=order))
+    rising = inten[1:-1] > inten[:-2]
+    not_falling = inten[1:-1] >= inten[2:]
+    for i in (np.flatnonzero(rising & not_falling) + 1).tolist():
+        denom = inten[i - 1] - 2.0 * inten[i] + inten[i + 1]
+        if denom < 0.0:
+            offset = 0.5 * (inten[i - 1] - inten[i + 1]) / denom
+            b_hat = beta[i] + offset * (beta[i + 1] - beta[i])
+            i_hat = inten[i] - 0.25 * (inten[i - 1] - inten[i + 1]) * offset
+        else:
+            b_hat, i_hat = beta[i], inten[i]
+        order = None
+        if orders:
+            s_hat = math.sin(b_hat)
+            j_near = min(orders, key=lambda oj: abs(math.sin(oj[1]) - s_hat))
+            if abs(math.sin(j_near[1]) - s_hat) <= 0.25 * spacing:
+                order = j_near[0]
+        peaks.append(Peak(beta=float(b_hat), intensity=float(i_hat), order_index=order))
     return tuple(peaks)
 
 
@@ -148,9 +148,8 @@ def missing_orders(
     ratio = (d + a) / a
     spacing_s = lam / (a + d)
 
-    beta = np.array([r.beta for r in scan.rows])
-    inten = np.array([r.intensity_total for r in scan.rows])
-    sin_beta = np.sin(beta)
+    inten = scan.intensity_total
+    sin_beta = np.sin(scan.beta)
     s_scan_max = float(sin_beta.max())
 
     candidates = _candidate_orders(spacing_s, s_scan_max)
@@ -194,17 +193,14 @@ def missing_orders(
 
 def factorization_audit(config: SimConfig, scan: DiffractionScan, hbar: float = HBAR) -> float:
     """Max relative residual of I_total = I_slit1 * 4 cos^2(k sin(beta) (a+d)/2)."""
-    if not scan.rows:
+    if scan.beta.size == 0:
         raise ValueError("scan is empty")
     k = wavenumber(config.beam, hbar)
     spacing = config.slits.width_a + config.slits.separation_d
-    worst = 0.0
-    tiny = np.finfo(float).tiny
-    for row in scan.rows:
-        predicted = row.intensity_slit1 * 4.0 * math.cos(0.5 * k * math.sin(row.beta) * spacing) ** 2
-        residual = abs(row.intensity_total - predicted) / max(row.intensity_total, tiny)
-        worst = max(worst, residual)
-    return worst
+    total = scan.intensity_total
+    predicted = scan.intensity_slit1 * 4.0 * np.cos(0.5 * k * np.sin(scan.beta) * spacing) ** 2
+    residual = np.abs(total - predicted) / np.maximum(total, np.finfo(float).tiny)
+    return float(residual.max())
 
 
 def report_rows(
@@ -216,9 +212,8 @@ def report_rows(
     """Machine-readable order rows (order, beta_rad, intensity, analytic, numeric)."""
     lam = de_broglie_wavelength(config.beam, hbar)
     spacing_s = lam / (config.slits.width_a + config.slits.separation_d)
-    beta = np.array([r.beta for r in scan.rows])
-    inten = np.array([r.intensity_total for r in scan.rows])
-    sin_beta = np.sin(beta)
+    inten = scan.intensity_total
+    sin_beta = np.sin(scan.beta)
     s_scan_max = float(sin_beta.max())
 
     out = []

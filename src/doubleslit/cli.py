@@ -119,6 +119,9 @@ def run(request: RunRequest) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -116,15 +116,15 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # Every grid direction must have a real direction cosine:
-        # sin^2(alpha) + sin^2(beta) < 1.
+        # sin^2(alpha) + sin^2(beta) < 1.  On |beta| < pi/2, sin^2 rises
+        # with |beta|, so the endpoint of larger magnitude decides for the
+        # whole grid; the grid itself is never built here.
+        beta = max(self.detector.beta_min, self.detector.beta_max, key=abs)
         sa2 = math.sin(self.beam.alpha) ** 2
-        betas = self.detector.grid()
-        bad = sa2 + np.sin(betas) ** 2 >= 1.0
-        if bad.any():
-            beta = float(betas[np.argmax(bad)])
+        if abs(beta) >= math.pi / 2 or sa2 + math.sin(beta) ** 2 >= 1.0:
             raise ConfigError(
                 f"detector grid contains invalid direction beta={beta!r}: "
-                "sin^2(alpha) + sin^2(beta) must be < 1"
+                "|beta| must be < pi/2 and sin^2(alpha) + sin^2(beta) < 1"
             )
 
 

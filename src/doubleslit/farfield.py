@@ -56,10 +56,44 @@ class ScanRow:
     intensity_normalized: float
 
 
-@dataclass(frozen=True)
+SCAN_COLUMNS = (
+    "beta",
+    "intensity_total",
+    "intensity_slit1",
+    "two_slit_factor",
+    "intensity_normalized",
+)
+
+
+@dataclass(frozen=True, eq=False)
 class DiffractionScan:
+    """A scan as five read-only float64 columns of one length, one per angle."""
+
     config_echo: SimConfig
-    rows: tuple[ScanRow, ...]
+    beta: np.ndarray
+    intensity_total: np.ndarray
+    intensity_slit1: np.ndarray
+    two_slit_factor: np.ndarray
+    intensity_normalized: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in SCAN_COLUMNS:
+            # A view, so that the caller's own array stays writeable.
+            column = np.asarray(getattr(self, name), dtype=np.float64).view()
+            if column.ndim != 1 or column.shape != np.shape(self.beta):
+                raise ValueError("scan columns must be 1-D and of one length")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def rows(self) -> tuple[ScanRow, ...]:
+        """Per-angle row view, built from the columns on each access.
+
+        Kept for callers that read rows by attribute; the library reads
+        the columns.
+        """
+        columns = (getattr(self, name).tolist() for name in SCAN_COLUMNS)
+        return tuple(ScanRow(*values) for values in zip(*columns))
 
 
 def sine_fourier_integral(p: int, q: float, L: float) -> complex:
@@ -213,14 +247,11 @@ def scan(config: SimConfig, hbar: float = HBAR) -> DiffractionScan:
     factor = 4.0 * np.cos(0.5 * plan.k * np.sin(betas) * shift) ** 2
     peak = float(i_total.max())
     norm = i_total / peak if peak > 0.0 else np.zeros_like(i_total)
-    rows = tuple(
-        ScanRow(
-            beta=float(betas[j]),
-            intensity_total=float(i_total[j]),
-            intensity_slit1=float(i_slit1[j]),
-            two_slit_factor=float(factor[j]),
-            intensity_normalized=float(norm[j]),
-        )
-        for j in range(betas.size)
+    return DiffractionScan(
+        config_echo=config,
+        beta=betas,
+        intensity_total=i_total,
+        intensity_slit1=i_slit1,
+        two_slit_factor=factor,
+        intensity_normalized=norm,
     )
-    return DiffractionScan(config_echo=config, rows=rows)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .farfield import DiffractionScan
+import numpy as np
+
+from .farfield import SCAN_COLUMNS, DiffractionScan
 
 CSV_HEADER = "beta_rad,intensity_total,intensity_slit1,two_slit_factor,intensity_normalized"
 
@@ -18,26 +20,14 @@ _SVG_HEIGHT = 600
 _MARGIN = 60
 
 
-def _g17(x: float) -> str:
-    return format(x, ".17g")
-
-
 def scan_csv(scan: DiffractionScan) -> str:
-    lines = [CSV_HEADER]
-    for r in scan.rows:
-        lines.append(
-            ",".join(
-                _g17(v)
-                for v in (
-                    r.beta,
-                    r.intensity_total,
-                    r.intensity_slit1,
-                    r.two_slit_factor,
-                    r.intensity_normalized,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Header plus one row per angle, formatted in a single pass.
+
+    '%.17g' % x equals format(x, '.17g') for every double.
+    """
+    table = np.column_stack([getattr(scan, name) for name in SCAN_COLUMNS])
+    row = ",".join(["%.17g"] * len(SCAN_COLUMNS)) + "\n"
+    return CSV_HEADER + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_csv(scan: DiffractionScan, path) -> None:
@@ -46,18 +36,18 @@ def write_csv(scan: DiffractionScan, path) -> None:
 
 def scan_svg(scan: DiffractionScan) -> str:
     """Standalone SVG polyline of (beta, normalized intensity)."""
-    if len(scan.rows) < 2:
+    if scan.beta.size < 2:
         raise ValueError("plot needs at least 2 rows")
-    b0 = scan.rows[0].beta
-    b1 = scan.rows[-1].beta
-    span = b1 - b0
+    b0 = float(scan.beta[0])
+    span = float(scan.beta[-1]) - b0
+    if span == 0.0:
+        raise ValueError("plot needs distinct first and last beta")
     w = _SVG_WIDTH - 2 * _MARGIN
     h = _SVG_HEIGHT - 2 * _MARGIN
-    points = " ".join(
-        f"{_MARGIN + (r.beta - b0) / span * w:.3f},"
-        f"{_SVG_HEIGHT - _MARGIN - r.intensity_normalized * h:.3f}"
-        for r in scan.rows
-    )
+    # The scalar formula's operations in its order, so the doubles (and bytes) match it.
+    x = _MARGIN + (scan.beta - b0) / span * w
+    y = _SVG_HEIGHT - _MARGIN - scan.intensity_normalized * h
+    points = " ".join(["%.3f,%.3f"] * x.size) % tuple(np.column_stack((x, y)).ravel().tolist())
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">\n'

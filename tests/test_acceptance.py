@@ -188,8 +188,8 @@ def test_criterion_6_classical_limit():
         "beta_min_rad = 0.001\nbeta_max_rad = 0.075\nbeta_steps = 3001\n"
     )
     result = scan(cfg)
-    sines = np.sin([r.beta for r in result.rows])
-    envelope = np.array([r.intensity_slit1 for r in result.rows])
+    sines = np.sin(result.beta)
+    envelope = result.intensity_slit1
     minima = [
         i
         for i in range(1, len(envelope) - 1)
@@ -233,7 +233,7 @@ def test_criterion_7_thickness_behavior():
     peaks = {}
     for figure_id, c in zip((11, 12, 13, 14), thicknesses):
         cfg = capped_truncation(figure_config(figure_id))
-        peaks[c / lam] = max(r.intensity_total for r in scan(cfg).rows)
+        peaks[c / lam] = float(scan(cfg).intensity_total.max())
     values = list(peaks.values())
     growth = "observed" if all(x < y for x, y in zip(values, values[1:])) else "not-observed"
     report = ", ".join(f"c={c:g}lam peak={p:.3e}" for c, p in peaks.items())

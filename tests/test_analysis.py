@@ -16,22 +16,20 @@ from doubleslit.analysis import (
     two_slit_order_angles,
 )
 from doubleslit.config import de_broglie_wavelength, parse_config, with_detector
-from doubleslit.farfield import DiffractionScan, ScanRow, scan
+from doubleslit.farfield import SCAN_COLUMNS, DiffractionScan, scan
 
 
 def synthetic_scan(config, betas, intensities):
-    """Scan rows built from an analytic intensity profile (slit1 = total/4)."""
-    rows = tuple(
-        ScanRow(
-            beta=float(b),
-            intensity_total=float(i),
-            intensity_slit1=float(i) / 4.0,
-            two_slit_factor=4.0,
-            intensity_normalized=float(i) / max(intensities),
-        )
-        for b, i in zip(betas, intensities)
+    """Scan columns built from an analytic intensity profile (slit1 = total/4)."""
+    intensities = np.asarray(intensities, dtype=float)
+    return DiffractionScan(
+        config_echo=config,
+        beta=betas,
+        intensity_total=intensities,
+        intensity_slit1=intensities / 4.0,
+        two_slit_factor=np.full_like(intensities, 4.0),
+        intensity_normalized=intensities / intensities.max(),
     )
-    return DiffractionScan(config_echo=config, rows=rows)
 
 
 class TestFindPeaks:
@@ -68,9 +66,7 @@ class TestFindPeaks:
             "m_max = 9\nn_max = 9\nbeta_steps = 2001\n"
         )
         result = scan(cfg)
-        betas = [r.beta for r in result.rows]
-        fringe = [r.two_slit_factor for r in result.rows]
-        peaks = find_peaks(synthetic_scan(cfg, betas, fringe))
+        peaks = find_peaks(synthetic_scan(cfg, result.beta, result.two_slit_factor))
         sines = sorted(math.sin(p.beta) for p in peaks)
         gaps = [b - a for a, b in zip(sines, sines[1:])]
         assert len(gaps) >= 6
@@ -187,16 +183,15 @@ class TestFactorizationAudit:
 
     def test_corrupted_scan_flagged(self, coarse_detector_config):
         good = scan(coarse_detector_config)
-        corrupted = DiffractionScan(
-            config_echo=good.config_echo,
-            rows=tuple(replace(r, intensity_slit1=0.0) for r in good.rows),
-        )
+        corrupted = replace(good, intensity_slit1=np.zeros_like(good.intensity_slit1))
         assert factorization_audit(coarse_detector_config, corrupted) == pytest.approx(
             1.0, abs=1e-9
         )
 
     def test_empty_scan_rejected(self, coarse_detector_config):
-        empty = DiffractionScan(config_echo=coarse_detector_config, rows=())
+        empty = DiffractionScan(
+            coarse_detector_config, **{name: np.empty(0) for name in SCAN_COLUMNS}
+        )
         with pytest.raises(ValueError):
             factorization_audit(coarse_detector_config, empty)
 

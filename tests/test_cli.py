@@ -45,15 +45,16 @@ class TestScanMode:
     def test_csv_round_trips_doubles_bit_exactly(self, tmp_path):
         cfg = parse_config(FAST_KEYS)
         result = scan(cfg)
-        text = output.scan_csv(result)
-        for line, row in zip(text.splitlines()[1:], result.rows):
+        lines = output.scan_csv(result).splitlines()[1:]
+        assert len(lines) == result.beta.size
+        for i, line in enumerate(lines):
             parts = [float(v) for v in line.split(",")]
             assert parts == [
-                row.beta,
-                row.intensity_total,
-                row.intensity_slit1,
-                row.two_slit_factor,
-                row.intensity_normalized,
+                result.beta[i],
+                result.intensity_total[i],
+                result.intensity_slit1[i],
+                result.two_slit_factor[i],
+                result.intensity_normalized[i],
             ]
 
     def test_normalized_column_max_is_one(self, tmp_path):
@@ -105,9 +106,10 @@ class TestSvg:
 
     def test_single_row_rejected(self, coarse_detector_config):
         single = scan(with_detector(coarse_detector_config, steps=2))
-        from doubleslit.farfield import DiffractionScan
-
-        truncated = DiffractionScan(single.config_echo, single.rows[:1])
+        truncated = farfield.DiffractionScan(
+            single.config_echo,
+            **{name: getattr(single, name)[:1] for name in farfield.SCAN_COLUMNS},
+        )
         with pytest.raises(ValueError):
             output.scan_svg(truncated)
 
@@ -197,6 +199,18 @@ class TestExitStatusContract:
 
     def test_scan_mode_requires_config(self, tmp_path):
         assert run(RunRequest(None, str(tmp_path / "x.csv"), "scan")) == EXIT_VALIDATION
+
+    def test_memory_error_is_reported_cleanly(self, tmp_path, monkeypatch, capsys):
+        def oversized(config):
+            raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+        monkeypatch.setattr(farfield, "scan", oversized)
+        cfg_path = write_config(tmp_path, FAST_KEYS)
+        out = tmp_path / "x.csv"
+        assert run(RunRequest(cfg_path, str(out), "scan")) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "74.5 TiB" in err
+        assert not out.exists()
 
 
 class TestMain:

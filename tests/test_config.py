@@ -190,6 +190,24 @@ class TestTypeInvariants:
                 truncation=TruncationSpec(),
             )
 
+    def test_grid_past_the_horizon_rejected(self):
+        # sin^2(3) is small, yet beta = +-3 lies past |beta| = pi/2.
+        with pytest.raises(ConfigError, match="invalid direction"):
+            parse_config("beta_min_rad = -3\nbeta_max_rad = 3\nbeta_steps = 3\n")
+        # The endpoint of larger magnitude decides, whichever side it is on.
+        with pytest.raises(ConfigError, match="invalid direction"):
+            parse_config("beta_min_rad = -1.57\nbeta_max_rad = 0.1\n")
+
+    def test_validation_never_builds_the_grid(self, monkeypatch):
+        def no_grid(self):
+            raise AssertionError("detector grid built during validation")
+
+        monkeypatch.setattr(DetectorSpec, "grid", no_grid)
+        cfg = parse_config("beta_min_rad = -0.45\nbeta_max_rad = 0.45\nbeta_steps = 20001\n")
+        assert cfg.detector.steps == 20001
+        with pytest.raises(ConfigError, match="invalid direction"):
+            parse_config("beta_max_rad = 1.57\n")
+
     def test_with_detector_helper(self, default_config):
         cfg = with_detector(default_config, steps=11)
         assert cfg.detector.steps == 11

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from doubleslit.config import parse_config, with_detector, wavenumber
 from doubleslit.farfield import (
+    SCAN_COLUMNS,
     DirectionAngles,
     DiffractionScan,
     ScanRow,
@@ -242,41 +243,44 @@ class TestScan:
     def test_two_step_grid_endpoints(self, small_config):
         cfg = with_detector(small_config, steps=2)
         result = scan(cfg)
-        assert len(result.rows) == 2
-        assert result.rows[0].beta == cfg.detector.beta_min
-        assert result.rows[1].beta == cfg.detector.beta_max
+        assert result.beta.size == 2
+        assert result.beta[0] == cfg.detector.beta_min
+        assert result.beta[1] == cfg.detector.beta_max
 
     def test_row_count_and_monotone_beta(self, coarse_detector_config):
         result = scan(coarse_detector_config)
-        assert len(result.rows) == coarse_detector_config.detector.steps
-        betas = [r.beta for r in result.rows]
+        assert result.beta.size == coarse_detector_config.detector.steps
+        betas = result.beta.tolist()
         assert betas == sorted(betas)
 
     def test_two_slit_factor_symmetric_on_symmetric_grid(self, coarse_detector_config):
         # Dyadic grid bounds make the beta points bit-symmetric about zero.
         cfg = with_detector(coarse_detector_config, beta_min=-0.25, beta_max=0.25, steps=257)
         result = scan(cfg)
-        factors = [r.two_slit_factor for r in result.rows]
+        factors = result.two_slit_factor.tolist()
         assert factors == factors[::-1]
 
     def test_normalized_column(self, coarse_detector_config):
         result = scan(coarse_detector_config)
-        norms = [r.intensity_normalized for r in result.rows]
-        assert max(norms) == 1.0
-        assert all(0.0 <= v <= 1.0 for v in norms)
+        norms = result.intensity_normalized
+        assert norms.max() == 1.0
+        assert np.all((0.0 <= norms) & (norms <= 1.0))
 
     def test_intensities_finite_and_nonnegative(self, coarse_detector_config):
-        for r in scan(coarse_detector_config).rows:
-            assert math.isfinite(r.intensity_total) and r.intensity_total >= 0.0
-            assert math.isfinite(r.intensity_slit1) and r.intensity_slit1 >= 0.0
+        result = scan(coarse_detector_config)
+        for column in (result.intensity_total, result.intensity_slit1):
+            assert np.all(np.isfinite(column)) and np.all(column >= 0.0)
 
     def test_factorization_identity_per_row(self, coarse_detector_config):
         cfg = coarse_detector_config
         k = wavenumber(cfg.beam)
         spacing = cfg.slits.width_a + cfg.slits.separation_d
-        for r in scan(cfg).rows:
-            predicted = r.intensity_slit1 * 4 * math.cos(0.5 * k * math.sin(r.beta) * spacing) ** 2
-            assert abs(r.intensity_total - predicted) <= 1e-10 * max(r.intensity_total, 1e-300)
+        result = scan(cfg)
+        for beta, total, slit1 in zip(
+            result.beta.tolist(), result.intensity_total.tolist(), result.intensity_slit1.tolist()
+        ):
+            predicted = slit1 * 4 * math.cos(0.5 * k * math.sin(beta) * spacing) ** 2
+            assert abs(total - predicted) <= 1e-10 * max(total, 1e-300)
 
     def test_amplitude_scaling_squares_intensity(self, coarse_detector_config):
         cfg = coarse_detector_config
@@ -284,15 +288,34 @@ class TestScan:
         scaled = replace(
             scaled, truncation=cfg.truncation, detector=cfg.detector
         )
-        base_rows = scan(cfg).rows
-        scaled_rows = scan(scaled).rows
-        base = np.array([r.intensity_total for r in base_rows])
-        big = np.array([r.intensity_total for r in scaled_rows])
+        base = scan(cfg).intensity_total
+        big = scan(scaled).intensity_total
         np.testing.assert_allclose(big, 9.0 * base, rtol=1e-11)
         assert int(np.argmax(base)) == int(np.argmax(big))
 
     def test_scan_row_types(self, coarse_detector_config):
         result = scan(coarse_detector_config)
         assert isinstance(result, DiffractionScan)
-        assert all(isinstance(r, ScanRow) for r in result.rows)
+        for name in SCAN_COLUMNS:
+            column = getattr(result, name)
+            assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert column.shape == (coarse_detector_config.detector.steps,)
         assert result.config_echo == coarse_detector_config
+
+    def test_rows_view_matches_columns_and_columns_are_read_only(self, coarse_detector_config):
+        result = scan(coarse_detector_config)
+        rows = result.rows
+        assert len(rows) == coarse_detector_config.detector.steps
+        assert all(isinstance(r, ScanRow) for r in rows)
+        for name in SCAN_COLUMNS:
+            column = getattr(result, name)
+            assert [getattr(r, name) for r in rows] == column.tolist()
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_columns_must_share_one_length(self, coarse_detector_config):
+        result = scan(coarse_detector_config)
+        with pytest.raises(ValueError):
+            replace(result, intensity_slit1=result.intensity_slit1[1:])
+        with pytest.raises(ValueError):
+            replace(result, beta=result.beta.reshape(1, -1))
