@@ -16,6 +16,7 @@ from .config import (
     SlitGeometry,
     TruncationSpec,
     de_broglie_wavelength,
+    direction_cosine,
     parse_config,
     serialize_config,
     wavenumber,
@@ -32,16 +33,13 @@ from .modes import (
     thickness_attenuation,
 )
 from .farfield import (
-    ComplexAmplitude,
     DiffractionScan,
     DirectionAngles,
     ScanRow,
+    amplitudes,
     obliquity_prefactor,
     scan,
     sine_fourier_integral,
-    slit1_amplitude,
-    slit2_amplitude,
-    total_intensity,
 )
 from .quadrature import (
     QuadratureDepthError,

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import HBAR, SimConfig, de_broglie_wavelength, wavenumber
+from .config import SimConfig, de_broglie_wavelength, wavenumber
 from .farfield import DiffractionScan
 
 # Integer test tolerance on the geometry ratio (d+a)/a.
@@ -39,15 +39,15 @@ class MissingOrderReport:
     suppression_threshold: float
 
 
-def find_peaks(scan: DiffractionScan, hbar: float = HBAR) -> tuple[Peak, ...]:
+def find_peaks(scan: DiffractionScan) -> tuple[Peak, ...]:
     """Interior local maxima of the total intensity, quadratically refined."""
     beta = scan.beta
     inten = scan.intensity_total
     if beta.size < 3:
         raise ValueError("scan must have at least 3 rows")
 
-    orders = two_slit_order_angles(scan.config_echo, j_max=10_000, hbar=hbar)
-    lam = de_broglie_wavelength(scan.config_echo.beam, hbar)
+    orders = two_slit_order_angles(scan.config_echo, j_max=10_000)
+    lam = de_broglie_wavelength(scan.config_echo.beam)
     spacing = lam / (
         scan.config_echo.slits.width_a + scan.config_echo.slits.separation_d
     )
@@ -73,15 +73,15 @@ def find_peaks(scan: DiffractionScan, hbar: float = HBAR) -> tuple[Peak, ...]:
     return tuple(peaks)
 
 
-def two_slit_order_angles(
-    config: SimConfig, j_max: int, hbar: float = HBAR
-) -> tuple[tuple[int, float], ...]:
+def two_slit_order_angles(config: SimConfig, j_max: int) -> tuple[tuple[int, float], ...]:
     """Angles beta_j = arcsin(j*lambda/(a+d)) of the two-slit maxima in range."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
-    lam = de_broglie_wavelength(config.beam, hbar)
+    lam = de_broglie_wavelength(config.beam)
     spacing = config.slits.width_a + config.slits.separation_d
-    s_limit = min(math.sin(config.detector.beta_max), math.cos(config.beam.alpha))
+    # A validated config keeps sin(beta_max) < cos(alpha), inside the
+    # forward hemisphere.
+    s_limit = math.sin(config.detector.beta_max)
     out = []
     for j in range(1, j_max + 1):
         s = j * lam / spacing
@@ -123,7 +123,6 @@ def missing_orders(
     config: SimConfig,
     scan: DiffractionScan,
     threshold: float = DEFAULT_SUPPRESSION_THRESHOLD,
-    hbar: float = HBAR,
 ) -> MissingOrderReport:
     """Analytic (ratio rule) and numeric (suppression) missing orders.
 
@@ -142,7 +141,7 @@ def missing_orders(
     if scan.config_echo != config:
         raise ValueError("scan was produced from a different configuration")
 
-    lam = de_broglie_wavelength(config.beam, hbar)
+    lam = de_broglie_wavelength(config.beam)
     a = config.slits.width_a
     d = config.slits.separation_d
     ratio = (d + a) / a
@@ -191,11 +190,11 @@ def missing_orders(
     )
 
 
-def factorization_audit(config: SimConfig, scan: DiffractionScan, hbar: float = HBAR) -> float:
+def factorization_audit(config: SimConfig, scan: DiffractionScan) -> float:
     """Max relative residual of I_total = I_slit1 * 4 cos^2(k sin(beta) (a+d)/2)."""
     if scan.beta.size == 0:
         raise ValueError("scan is empty")
-    k = wavenumber(config.beam, hbar)
+    k = wavenumber(config.beam)
     spacing = config.slits.width_a + config.slits.separation_d
     total = scan.intensity_total
     predicted = scan.intensity_slit1 * 4.0 * np.cos(0.5 * k * np.sin(scan.beta) * spacing) ** 2
@@ -207,10 +206,9 @@ def report_rows(
     config: SimConfig,
     scan: DiffractionScan,
     report: MissingOrderReport,
-    hbar: float = HBAR,
 ) -> tuple[tuple[int, float, float, bool, bool], ...]:
     """Machine-readable order rows (order, beta_rad, intensity, analytic, numeric)."""
-    lam = de_broglie_wavelength(config.beam, hbar)
+    lam = de_broglie_wavelength(config.beam)
     spacing_s = lam / (config.slits.width_a + config.slits.separation_d)
     inten = scan.intensity_total
     sin_beta = np.sin(scan.beta)

@@ -115,17 +115,33 @@ class SimConfig:
     evaluation_time: float = 0.0
 
     def __post_init__(self) -> None:
-        # Every grid direction must have a real direction cosine:
-        # sin^2(alpha) + sin^2(beta) < 1.  On |beta| < pi/2, sin^2 rises
-        # with |beta|, so the endpoint of larger magnitude decides for the
-        # whole grid; the grid itself is never built here.
+        # Every grid direction must lie in the forward hemisphere.  On
+        # |beta| < pi/2, sin^2 rises with |beta|, so the endpoint of larger
+        # magnitude decides for the whole grid; the grid itself is never
+        # built here.
         beta = max(self.detector.beta_min, self.detector.beta_max, key=abs)
-        sa2 = math.sin(self.beam.alpha) ** 2
-        if abs(beta) >= math.pi / 2 or sa2 + math.sin(beta) ** 2 >= 1.0:
+        if abs(beta) >= math.pi / 2:
             raise ConfigError(
                 f"detector grid contains invalid direction beta={beta!r}: "
-                "|beta| must be < pi/2 and sin^2(alpha) + sin^2(beta) < 1"
+                "|beta| must be < pi/2"
             )
+        direction_cosine(self.beam.alpha, math.sin(beta))
+
+
+def direction_cosine(alpha: float, sin_beta):
+    """Direction cosine sqrt(cos^2(alpha) - sin^2(beta)) of the (alpha, beta) direction.
+
+    sin_beta may be a float or an array.  Raises ConfigError unless every
+    direction lies in the forward hemisphere sin^2(alpha) + sin^2(beta) < 1.
+    """
+    g2 = math.cos(alpha) ** 2 - np.square(sin_beta)
+    if np.any(g2 <= 0.0):
+        bad = float(np.asarray(sin_beta).flat[np.argmax(g2 <= 0.0)])
+        raise ConfigError(
+            f"invalid direction (alpha={alpha!r}, sin(beta)={bad!r}): outside the "
+            "forward hemisphere sin^2(alpha) + sin^2(beta) < 1"
+        )
+    return np.sqrt(g2) if np.ndim(g2) else math.sqrt(g2)
 
 
 def de_broglie_wavelength(beam: BeamSpec, hbar: float = HBAR) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import HBAR, SimConfig, wavenumber
+from .config import HBAR, SimConfig, direction_cosine, wavenumber
 from .modes import ModeTerm, enumerate_modes, thickness_attenuation
 
 SINGULAR_EPS = kernels.SINGULAR_EPS
@@ -30,21 +30,7 @@ class DirectionAngles:
     beta: float
 
     def __post_init__(self) -> None:
-        if math.sin(self.alpha) ** 2 + math.sin(self.beta) ** 2 >= 1.0:
-            raise ValueError(
-                f"invalid direction (alpha={self.alpha}, beta={self.beta}): "
-                "sin^2(alpha) + sin^2(beta) must be < 1"
-            )
-
-
-@dataclass(frozen=True)
-class ComplexAmplitude:
-    value: complex
-    angles: DirectionAngles
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("amplitude must be finite")
+        direction_cosine(self.alpha, math.sin(self.beta))
 
 
 @dataclass(frozen=True)
@@ -118,13 +104,8 @@ def obliquity_prefactor(
     term: ModeTerm, angles: DirectionAngles, k: float, R: float
 ) -> complex:
     """Bracket factor i*k_z + (i*k - 1/R) * sqrt(cos^2(alpha) - sin^2(beta))."""
-    g2 = math.cos(angles.alpha) ** 2 - math.sin(angles.beta) ** 2
-    if g2 <= 0.0:
-        raise ValueError(
-            f"direction beta={angles.beta} outside the forward hemisphere "
-            "(cos^2(alpha) - sin^2(beta) <= 0)"
-        )
-    return 1j * term.k_z + (1j * k - 1.0 / R) * math.sqrt(g2)
+    g = direction_cosine(angles.alpha, math.sin(angles.beta))
+    return 1j * term.k_z + (1j * k - 1.0 / R) * g
 
 
 @dataclass(frozen=True)
@@ -139,8 +120,8 @@ class _ScanPlan:
     k: float
 
 
-def _build_plan(config: SimConfig, hbar: float = HBAR) -> _ScanPlan:
-    k = wavenumber(config.beam, hbar)
+def _build_plan(config: SimConfig) -> _ScanPlan:
+    k = wavenumber(config.beam)
     slits = config.slits
     R = config.detector.distance_R
     alpha = config.beam.alpha
@@ -150,7 +131,7 @@ def _build_plan(config: SimConfig, hbar: float = HBAR) -> _ScanPlan:
     x_cache: dict[int, complex] = {}
     grad: dict[int, complex] = {}
     field: dict[int, complex] = {}
-    for term in enumerate_modes(config, hbar):
+    for term in enumerate_modes(config):
         m, n = term.index.m, term.index.n
         x_n = x_cache.get(n)
         if x_n is None:
@@ -164,7 +145,7 @@ def _build_plan(config: SimConfig, hbar: float = HBAR) -> _ScanPlan:
     envelope = (
         -cmath.exp(1j * k * R)
         / (4.0 * math.pi * R)
-        * cmath.exp(-1j * config.beam.energy * config.evaluation_time / hbar)
+        * cmath.exp(-1j * config.beam.energy * config.evaluation_time / HBAR)
     )
     return _ScanPlan(
         w_y=w_y,
@@ -176,75 +157,34 @@ def _build_plan(config: SimConfig, hbar: float = HBAR) -> _ScanPlan:
     )
 
 
-def _amplitudes(
-    plan: _ScanPlan, config: SimConfig, betas: np.ndarray, shift: float
-) -> np.ndarray:
-    sinb = np.sin(betas)
-    g2 = math.cos(config.beam.alpha) ** 2 - sinb**2
-    if np.any(g2 <= 0.0):
-        beta = float(betas[np.argmax(g2 <= 0.0)])
-        raise ValueError(f"beta={beta} outside the forward hemisphere")
-    psi = kernels.mode_sum(
-        plan.w_y,
-        plan.amp_grad,
-        plan.amp_field,
-        plan.k * sinb,
-        np.sqrt(g2),
-        config.slits.width_a,
-        shift,
-        plan.cterm,
-    )
-    return plan.envelope * psi
+def amplitudes(config: SimConfig, betas) -> tuple[np.ndarray, np.ndarray]:
+    """Far-field amplitudes (psi1, psi2) of the two slits at each beta of a 1-D array.
+
+    Slit 1 integrates y' over [0, a], slit 2 over [a+d, 2a+d].  The mode
+    plan is built once per call.
+    """
+    plan = _build_plan(config)
+    sinb = np.sin(np.asarray(betas, dtype=np.float64))
+    q = plan.k * sinb
+    g = direction_cosine(config.beam.alpha, sinb)
+    a = config.slits.width_a
+    shift = a + config.slits.separation_d
+    # Each kernel result is bound to a name before the envelope multiplies
+    # it: on a temporary, numpy reuses the buffer and multiplies with the
+    # operands swapped, which changes last-bit rounding.
+    psi1 = kernels.mode_sum(plan.w_y, plan.amp_grad, plan.amp_field, q, g, a, 0.0, plan.cterm)
+    psi2 = kernels.mode_sum(plan.w_y, plan.amp_grad, plan.amp_field, q, g, a, shift, plan.cterm)
+    return plan.envelope * psi1, plan.envelope * psi2
 
 
-def slit1_amplitude(
-    angles: DirectionAngles, config: SimConfig, hbar: float = HBAR
-) -> ComplexAmplitude:
-    """Far-field amplitude of the first slit at one direction."""
-    plan = _build_plan(config, hbar)
-    psi = _amplitudes(plan, config, np.array([angles.beta]), 0.0)
-    return ComplexAmplitude(complex(psi[0]), angles)
-
-
-def slit2_amplitude(
-    angles: DirectionAngles, config: SimConfig, hbar: float = HBAR
-) -> ComplexAmplitude:
-    """Far-field amplitude of the second slit (y' integral over [a+d, 2a+d])."""
-    plan = _build_plan(config, hbar)
-    shift = config.slits.width_a + config.slits.separation_d
-    psi = _amplitudes(plan, config, np.array([angles.beta]), shift)
-    return ComplexAmplitude(complex(psi[0]), angles)
-
-
-def two_slit_factor(beta: float, config: SimConfig, hbar: float = HBAR) -> float:
-    """Interference modulation 4*cos^2(k sin(beta) (a+d)/2)."""
-    k = wavenumber(config.beam, hbar)
-    spacing = config.slits.width_a + config.slits.separation_d
-    return 4.0 * math.cos(0.5 * k * math.sin(beta) * spacing) ** 2
-
-
-def total_intensity(
-    angles: DirectionAngles, config: SimConfig, hbar: float = HBAR
-) -> float:
-    """Relative intensity |psi1 + psi2|^2 at one direction."""
-    plan = _build_plan(config, hbar)
-    betas = np.array([angles.beta])
-    shift = config.slits.width_a + config.slits.separation_d
-    psi1 = _amplitudes(plan, config, betas, 0.0)
-    psi2 = _amplitudes(plan, config, betas, shift)
-    return float(abs(psi1[0] + psi2[0]) ** 2)
-
-
-def scan(config: SimConfig, hbar: float = HBAR) -> DiffractionScan:
+def scan(config: SimConfig) -> DiffractionScan:
     """Intensity scan over the detector's uniform beta grid."""
     betas = config.detector.grid()
-    plan = _build_plan(config, hbar)
-    shift = config.slits.width_a + config.slits.separation_d
-    psi1 = _amplitudes(plan, config, betas, 0.0)
-    psi2 = _amplitudes(plan, config, betas, shift)
+    psi1, psi2 = amplitudes(config, betas)
     i_total = np.abs(psi1 + psi2) ** 2
     i_slit1 = np.abs(psi1) ** 2
-    factor = 4.0 * np.cos(0.5 * plan.k * np.sin(betas) * shift) ** 2
+    spacing = config.slits.width_a + config.slits.separation_d
+    factor = 4.0 * np.cos(0.5 * wavenumber(config.beam) * np.sin(betas) * spacing) ** 2
     peak = float(i_total.max())
     norm = i_total / peak if peak > 0.0 else np.zeros_like(i_total)
     return DiffractionScan(

@@ -1,45 +1,33 @@
 """Hot inner loop of the far-field evaluation.
 
 The amplitude at every scan angle is a weighted sum over slit modes of the
-closed-form sine Fourier integral.  Two interchangeable implementations
-are provided: a numba @njit kernel (default when numba imports) and a pure
-numpy one.  Select with the DOUBLESLIT_BACKEND environment variable
-("numba" or "numpy"); see benchmarks/benchmark_backends.py for a timing
-comparison.
+closed-form sine Fourier integral, evaluated in numpy over a modes x
+angles array.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
 
 # Half-width of the removable-singularity window in |q -/+ w|*L.
 SINGULAR_EPS = 1e-8
 
 
 def active_backend() -> str:
-    """Resolve the kernel backend from the environment."""
-    choice = os.environ.get("DOUBLESLIT_BACKEND", "").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("DOUBLESLIT_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"unknown DOUBLESLIT_BACKEND value {choice!r}")
+    """Name of the kernel implementation (there is one, in numpy)."""
+    return "numpy"
 
 
-def _mode_sum_numpy(w, amp_grad, amp_field, q, g, L, shift, cterm):
+def mode_sum(w, amp_grad, amp_field, q, g, L, shift, cterm) -> np.ndarray:
+    """Per-angle amplitude sums over modes.
+
+    For each angle j returns
+        sum_i amp_grad[i]*Y_i(q_j) + cterm*g[j]*sum_i amp_field[i]*Y_i(q_j)
+    where Y_i(q) = integral_shift^{shift+L} exp(-i q y) sin(w_i (y-shift)) dy
+    in closed form (w_i an odd multiple of pi/L), with the removable
+    singularity at |q| = w_i replaced by its analytic limit.
+    """
+    L, shift = float(L), float(shift)
     q = np.asarray(q, dtype=np.float64)
     wc = np.asarray(w, dtype=np.float64)[:, None]
     ph0 = np.exp(-1j * q * shift)[None, :]
@@ -54,48 +42,4 @@ def _mode_sum_numpy(w, amp_grad, amp_field, q, g, L, shift, cterm):
     y = np.where(near_minus, ph0 * (0.5j * L), y)
     s_grad = np.asarray(amp_grad, dtype=np.complex128) @ y
     s_field = np.asarray(amp_field, dtype=np.complex128) @ y
-    return s_grad + cterm * np.asarray(g, dtype=np.float64) * s_field
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _mode_sum_numba(w, amp_grad, amp_field, q, g, L, shift, cterm):  # pragma: no cover - compiled
-        out = np.empty(q.shape[0], np.complex128)
-        for j in range(q.shape[0]):
-            qj = q[j]
-            ph0 = np.exp(-1j * qj * shift)
-            ph1 = np.exp(-1j * qj * (shift + L))
-            s_grad = 0.0 + 0.0j
-            s_field = 0.0 + 0.0j
-            for i in range(w.shape[0]):
-                wi = w[i]
-                if abs(qj - wi) * L < SINGULAR_EPS:
-                    y = ph0 * (-0.5j * L)
-                elif abs(qj + wi) * L < SINGULAR_EPS:
-                    y = ph0 * (0.5j * L)
-                else:
-                    y = wi * (ph1 + ph0) / (wi * wi - qj * qj)
-                s_grad += amp_grad[i] * y
-                s_field += amp_field[i] * y
-            out[j] = s_grad + cterm * g[j] * s_field
-        return out
-
-
-def mode_sum(w, amp_grad, amp_field, q, g, L, shift, cterm) -> np.ndarray:
-    """Per-angle amplitude sums over modes.
-
-    For each angle j returns
-        sum_i amp_grad[i]*Y_i(q_j) + cterm*g[j]*sum_i amp_field[i]*Y_i(q_j)
-    where Y_i(q) = integral_shift^{shift+L} exp(-i q y) sin(w_i (y-shift)) dy
-    in closed form (w_i an odd multiple of pi/L), with the removable
-    singularity at |q| = w_i replaced by its analytic limit.
-    """
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    amp_grad = np.ascontiguousarray(amp_grad, dtype=np.complex128)
-    amp_field = np.ascontiguousarray(amp_field, dtype=np.complex128)
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    if active_backend() == "numba":
-        return _mode_sum_numba(w, amp_grad, amp_field, q, g, float(L), float(shift), complex(cterm))
-    return _mode_sum_numpy(w, amp_grad, amp_field, q, g, float(L), float(shift), complex(cterm))
+    return s_grad + complex(cterm) * np.asarray(g, dtype=np.float64) * s_field

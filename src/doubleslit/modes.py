@@ -68,7 +68,7 @@ def thickness_attenuation(k_z: complex, c: float) -> complex:
     return cmath.exp(1j * k_z * c)
 
 
-def enumerate_modes(config: SimConfig, hbar: float = HBAR) -> tuple[ModeTerm, ...]:
+def enumerate_modes(config: SimConfig) -> tuple[ModeTerm, ...]:
     """All modes within the index caps that survive truncation.
 
     A mode is kept when it is propagating, or when its post-thickness
@@ -77,7 +77,7 @@ def enumerate_modes(config: SimConfig, hbar: float = HBAR) -> tuple[ModeTerm, ..
     TruncationWarning when the corner mode (m_max, n_max) still exceeds
     the drop tolerance.
     """
-    k = wavenumber(config.beam, hbar)
+    k = wavenumber(config.beam)
     slits = config.slits
     trunc = config.truncation
     amp = config.beam.amplitude
@@ -125,7 +125,7 @@ def enumerate_modes(config: SimConfig, hbar: float = HBAR) -> tuple[ModeTerm, ..
 
 
 def in_slit_wavefunction(
-    x: float, y: float, z: float, t: float, config: SimConfig, hbar: float = HBAR
+    x: float, y: float, z: float, t: float, config: SimConfig
 ) -> complex:
     """Truncated mode-sum wavefunction inside the first slit."""
     slits = config.slits
@@ -137,7 +137,7 @@ def in_slit_wavefunction(
         # every eigenfunction vanishes on the slit walls
         return 0j
     total = 0j
-    for term in enumerate_modes(config, hbar):
+    for term in enumerate_modes(config):
         p = 2 * term.index.m + 1
         q = 2 * term.index.n + 1
         total += (
@@ -146,14 +146,14 @@ def in_slit_wavefunction(
             * math.sin(p * math.pi * y / a)
             * cmath.exp(1j * term.k_z * z)
         )
-    return total * cmath.exp(-1j * config.beam.energy * t / hbar)
+    return total * cmath.exp(-1j * config.beam.energy * t / HBAR)
 
 
 def second_slit_wavefunction(
-    x: float, y: float, z: float, t: float, config: SimConfig, hbar: float = HBAR
+    x: float, y: float, z: float, t: float, config: SimConfig
 ) -> complex:
     """Wavefunction inside the second slit (first slit translated by a+d)."""
     shift = config.slits.width_a + config.slits.separation_d
     if not (shift <= y <= shift + config.slits.width_a):
         raise ValueError("point outside the second slit volume")
-    return in_slit_wavefunction(x, y - shift, z, t, config, hbar)
+    return in_slit_wavefunction(x, y - shift, z, t, config)

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import HBAR, SimConfig, wavenumber
+from .config import HBAR, SimConfig, direction_cosine, wavenumber
 from .modes import enumerate_modes, thickness_attenuation
 
 MAX_DEPTH = 60
@@ -176,7 +176,7 @@ def oracle_sine_fourier(p: int, q: float, L: float, tol: float = 1e-12) -> compl
 
 
 def oracle_surface_amplitude(
-    angles, config: SimConfig, tol: float = 1e-9, hbar: float = HBAR
+    angles, config: SimConfig, tol: float = 1e-9
 ) -> complex:
     """Nested 1D quadrature of the exit-face Kirchhoff surface integral.
 
@@ -184,25 +184,23 @@ def oracle_surface_amplitude(
     are evaluated numerically.  tol is relative to a crude magnitude scale
     of the integrand sum.
     """
-    k = wavenumber(config.beam, hbar)
+    k = wavenumber(config.beam)
     slits = config.slits
     a, b, c = slits.width_a, slits.length_b, slits.thickness_c
     R = config.detector.distance_R
     q_x = k * math.sin(angles.alpha)
     q_y = k * math.sin(angles.beta)
-    g2 = math.cos(angles.alpha) ** 2 - math.sin(angles.beta) ** 2
-    if g2 <= 0.0:
-        raise ValueError("direction outside the forward hemisphere")
+    g = direction_cosine(angles.alpha, math.sin(angles.beta))
     cterm = 1j * k - 1.0 / R
 
-    terms = enumerate_modes(config, hbar)
+    terms = enumerate_modes(config)
     m_orders = sorted({t.index.m for t in terms})
     n_orders = sorted({t.index.n for t in terms})
     m_pos = {m: i for i, m in enumerate(m_orders)}
     n_pos = {n: i for i, n in enumerate(n_orders)}
     weight = np.zeros((len(m_orders), len(n_orders)), dtype=complex)
     for t in terms:
-        bracket = 1j * t.k_z + cterm * math.sqrt(g2)
+        bracket = 1j * t.k_z + cterm * g
         weight[m_pos[t.index.m], n_pos[t.index.n]] = (
             t.coefficient * thickness_attenuation(t.k_z, c) * bracket
         )
@@ -239,6 +237,6 @@ def oracle_surface_amplitude(
     envelope = (
         -cmath.exp(1j * k * R)
         / (4.0 * math.pi * R)
-        * cmath.exp(-1j * config.beam.energy * config.evaluation_time / hbar)
+        * cmath.exp(-1j * config.beam.energy * config.evaluation_time / HBAR)
     )
     return envelope * outer.value

@@ -1,11 +1,14 @@
 """CLI modes, exit statuses, CSV/SVG artifacts."""
 
+import warnings
+
 import pytest
 
-from doubleslit import cli, farfield, output, quadrature
+from doubleslit import cli, farfield, kernels, output, quadrature
 from doubleslit.cli import EXIT_OK, EXIT_RESIDUAL, EXIT_VALIDATION, RunRequest, run
 from doubleslit.config import parse_config, with_detector
 from doubleslit.farfield import scan
+from doubleslit.modes import TruncationWarning
 
 FAST_KEYS = "m_max = 3\nn_max = 3\nbeta_steps = 201\n"
 
@@ -151,15 +154,26 @@ class TestMissingOrdersMode:
 
 
 class TestOracleCheckMode:
-    def test_oracle_check_passes(self, tmp_path):
+    def test_oracle_check_passes(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, FAST_KEYS)
         out = tmp_path / "residuals.csv"
-        status = run(RunRequest(cfg_path, str(out), "oracle-check"))
+        # The surface checks cap m and n at 3 on purpose, and say nothing
+        # about it; pyproject hides TruncationWarning, so show every warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = run(RunRequest(cfg_path, str(out), "oracle-check"))
         assert status == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
         lines = out.read_text().splitlines()
         assert lines[0] == "case,residual,tolerance,pass"
         assert len(lines) == 1 + 200 + 3
         assert all(line.endswith("True") for line in lines[1:])
+        # Only the oracle check's own cap is silenced: a scan still warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            with pytest.warns(TruncationWarning):
+                run(RunRequest(cfg_path, str(tmp_path / "s.csv"), "scan"))
 
     def test_residual_failure_exits_two(self, tmp_path, monkeypatch):
         # Designed failure probe: perturb the closed form past tolerance.
@@ -172,6 +186,20 @@ class TestOracleCheckMode:
         cfg_path = write_config(tmp_path, FAST_KEYS)
         status = run(RunRequest(cfg_path, str(tmp_path / "r.csv"), "oracle-check"))
         assert status == EXIT_RESIDUAL
+
+    def test_kernel_drift_fails_only_the_surface_rows(self, tmp_path, monkeypatch):
+        # Designed failure probe: perturb the mode-sum kernel past tolerance.
+        true_kernel = kernels.mode_sum
+        monkeypatch.setattr(kernels, "mode_sum", lambda *args: true_kernel(*args) * (1 + 1e-5))
+        cfg_path = write_config(tmp_path, FAST_KEYS)
+        out = tmp_path / "r.csv"
+        assert run(RunRequest(cfg_path, str(out), "oracle-check")) == EXIT_RESIDUAL
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [case for case, *_, passed in rows if passed != "True"] == [
+            "surface_0",
+            "surface_1",
+            "surface_2",
+        ]
 
     def test_non_converging_oracle_is_reported_cleanly(self, tmp_path, monkeypatch, capsys):
         def stuck(p, q, L, tol):

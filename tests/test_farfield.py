@@ -3,27 +3,32 @@
 import cmath
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doubleslit.config import parse_config, with_detector, wavenumber
+from doubleslit.config import (
+    ConfigError,
+    direction_cosine,
+    parse_config,
+    with_detector,
+    with_truncation,
+    wavenumber,
+)
 from doubleslit.farfield import (
     SCAN_COLUMNS,
     DirectionAngles,
     DiffractionScan,
     ScanRow,
+    amplitudes,
     obliquity_prefactor,
     scan,
     sine_fourier_integral,
-    slit1_amplitude,
-    slit2_amplitude,
-    total_intensity,
-    two_slit_factor,
 )
 from doubleslit.modes import ModeIndex, ModeTerm
-from doubleslit.quadrature import integrate_1d, oracle_sine_fourier
+from doubleslit.quadrature import integrate_1d, oracle_sine_fourier, oracle_surface_amplitude
 
 
 class TestSineFourierIntegral:
@@ -147,25 +152,21 @@ class TestSlitAmplitudes:
     def test_linearity_in_beam_amplitude(self, small_config):
         doubled = parse_config("amplitude = 2e8\n")
         doubled = replace(doubled, truncation=small_config.truncation)
-        for beta in (0.0, 0.01, 0.05):
-            ang = DirectionAngles(small_config.beam.alpha, beta)
-            one = slit1_amplitude(ang, small_config).value
-            two = slit1_amplitude(ang, doubled).value
-            assert two == pytest.approx(2 * one, rel=1e-12)
+        betas = np.array([0.0, 0.01, 0.05])
+        one, _ = amplitudes(small_config, betas)
+        two, _ = amplitudes(doubled, betas)
+        assert two == pytest.approx(2 * one, rel=1e-12)
 
     def test_modulus_independent_of_time(self, small_config):
         later = replace(small_config, evaluation_time=4.2e-9)
-        for beta in (0.0, 0.02):
-            ang = DirectionAngles(small_config.beam.alpha, beta)
-            assert abs(slit1_amplitude(ang, later).value) == pytest.approx(
-                abs(slit1_amplitude(ang, small_config).value), rel=1e-12
-            )
+        betas = np.array([0.0, 0.02])
+        now, _ = amplitudes(small_config, betas)
+        then, _ = amplitudes(later, betas)
+        assert np.abs(then) == pytest.approx(np.abs(now), rel=1e-12)
 
     def test_slit2_equals_slit1_at_zero_separation_and_beta(self):
         cfg = parse_config("d = 0 lambda\nm_max = 3\nn_max = 3\n")
-        ang = DirectionAngles(cfg.beam.alpha, 0.0)
-        psi1 = slit1_amplitude(ang, cfg).value
-        psi2 = slit2_amplitude(ang, cfg).value
+        (psi1,), (psi2,) = amplitudes(cfg, np.array([0.0]))
         # q = k sin(beta) = 0, so the translation phase is exactly 1... up to
         # the closed form evaluating the same expression with shift folded in.
         assert psi2 == pytest.approx(psi1, rel=1e-13)
@@ -173,10 +174,8 @@ class TestSlitAmplitudes:
     def test_translation_identity_across_grid(self, small_config):
         k = wavenumber(small_config.beam)
         shift = small_config.slits.width_a + small_config.slits.separation_d
-        for beta in np.linspace(-0.3, 0.3, 501):
-            ang = DirectionAngles(small_config.beam.alpha, float(beta))
-            psi1 = slit1_amplitude(ang, small_config).value
-            psi2 = slit2_amplitude(ang, small_config).value
+        betas = np.linspace(-0.3, 0.3, 501)
+        for beta, psi1, psi2 in zip(betas.tolist(), *amplitudes(small_config, betas)):
             phase = cmath.exp(-1j * k * math.sin(beta) * shift)
             assert abs(psi2 - phase * psi1) <= 1e-12 * abs(psi1)
 
@@ -190,7 +189,9 @@ class TestSlitAmplitudes:
         a, b, c = cfg.slits.width_a, cfg.slits.length_b, cfg.slits.thickness_c
         R = cfg.detector.distance_R
         shift = a + cfg.slits.separation_d
-        for beta in (0.0, 0.003, 0.011):
+        betas = (0.0, 0.003, 0.011)
+        _, psi2 = amplitudes(cfg, np.array(betas))
+        for beta, got in zip(betas, psi2):
             ang = DirectionAngles(cfg.beam.alpha, beta)
             q_x = k * math.sin(ang.alpha)
             q_y = k * math.sin(beta)
@@ -210,33 +211,84 @@ class TestSlitAmplitudes:
                 total += t.coefficient * thickness_attenuation(t.k_z, c) * bracket * x_n * y_m
             envelope = -cmath.exp(1j * k * R) / (4 * math.pi * R)
             ref = envelope * total
-            got = slit2_amplitude(ang, cfg).value
             assert got == pytest.approx(ref, rel=1e-6)
 
 
 class TestTotalIntensity:
     def test_axis_value_is_four_times_single_slit(self, small_config):
-        ang = DirectionAngles(small_config.beam.alpha, 0.0)
-        total = total_intensity(ang, small_config)
-        single = abs(slit1_amplitude(ang, small_config).value) ** 2
+        (psi1,), (psi2,) = amplitudes(small_config, np.array([0.0]))
+        total = abs(psi1 + psi2) ** 2
+        single = abs(psi1) ** 2
         assert total == pytest.approx(4 * single, rel=1e-12)
 
     def test_first_interference_zero(self, small_config):
         lam = 2 * math.pi / wavenumber(small_config.beam)
         spacing = small_config.slits.width_a + small_config.slits.separation_d
         beta_zero = math.asin(lam / (2 * spacing))
-        at_zero = total_intensity(
-            DirectionAngles(small_config.beam.alpha, beta_zero), small_config
-        )
-        at_peak = total_intensity(
-            DirectionAngles(small_config.beam.alpha, 0.0), small_config
-        )
+        psi1, psi2 = amplitudes(small_config, np.array([beta_zero, 0.0]))
+        at_zero, at_peak = (np.abs(psi1 + psi2) ** 2).tolist()
         assert at_zero < 1e-6 * at_peak
 
     def test_two_slit_factor_range(self, small_config):
-        for beta in np.linspace(-0.3, 0.3, 101):
-            f = two_slit_factor(float(beta), small_config)
-            assert 0.0 <= f <= 4.0 + 1e-12
+        cfg = with_detector(small_config, beta_min=-0.3, beta_max=0.3, steps=101)
+        f = scan(cfg).two_slit_factor
+        assert np.all((0.0 <= f) & (f <= 4.0 + 1e-12))
+
+
+# The hemisphere edge sin(beta) = cos(alpha) at alpha = 0.01 rad.
+HEMISPHERE_ALPHA = 0.01
+HEMISPHERE_EDGE = math.pi / 2 - HEMISPHERE_ALPHA
+
+
+def _sim_config_site(beta):
+    with_detector(parse_config(""), beta_max=beta)
+
+
+def _direction_angles_site(beta):
+    DirectionAngles(HEMISPHERE_ALPHA, beta)
+
+
+def _obliquity_prefactor_site(beta):
+    # An unvalidated angle object, so that the prefactor's own check runs.
+    angles = SimpleNamespace(alpha=HEMISPHERE_ALPHA, beta=beta)
+    term = ModeTerm(ModeIndex(0, 0), 1.0, complex(1e8, 0.0), True)
+    obliquity_prefactor(term, angles, 1.6e8, 1.0)
+
+
+def _amplitudes_site(beta):
+    cfg = with_truncation(parse_config(""), m_max=1, n_max=1)
+    amplitudes(cfg, np.array([0.0, beta]))
+
+
+def _oracle_surface_amplitude_site(beta):
+    cfg = with_truncation(parse_config(""), m_max=0, n_max=0)
+    angles = SimpleNamespace(alpha=HEMISPHERE_ALPHA, beta=beta)
+    oracle_surface_amplitude(angles, cfg, tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        _sim_config_site,
+        _direction_angles_site,
+        _obliquity_prefactor_site,
+        _amplitudes_site,
+        _oracle_surface_amplitude_site,
+    ],
+    ids=lambda call: call.__name__.strip("_").removesuffix("_site"),
+)
+def test_forward_hemisphere_checked_at_each_call_site(call):
+    assert parse_config("").beam.alpha == HEMISPHERE_ALPHA
+    call(HEMISPHERE_EDGE - 1e-6)
+    with pytest.raises(ConfigError, match="invalid direction.*forward hemisphere"):
+        call(HEMISPHERE_EDGE + 1e-6)
+
+
+def test_direction_cosine_of_float_and_array():
+    sines = np.array([0.0, 0.3, -0.6])
+    got = direction_cosine(0.2, sines)
+    np.testing.assert_array_equal(got, np.sqrt(math.cos(0.2) ** 2 - sines * sines))
+    assert direction_cosine(0.2, 0.3) == got[1] and isinstance(direction_cosine(0.2, 0.3), float)
 
 
 class TestScan:

@@ -1,13 +1,13 @@
-"""Backend selection and numba/numpy kernel equivalence."""
+"""The mode-sum kernel against a scalar sum of the closed-form integrals."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from doubleslit import kernels
-from doubleslit.config import with_detector
-from doubleslit.farfield import scan
+from doubleslit.farfield import sine_fourier_integral
 
 
 def random_kernel_inputs(seed, n_modes=7, n_angles=64):
@@ -23,38 +23,36 @@ def random_kernel_inputs(seed, n_modes=7, n_angles=64):
     return w, amp_grad, amp_field, q, g, L, shift, cterm
 
 
-class TestBackendSelection:
-    def test_auto_prefers_numba(self, monkeypatch):
-        monkeypatch.delenv("DOUBLESLIT_BACKEND", raising=False)
-        expected = "numba" if kernels.HAVE_NUMBA else "numpy"
-        assert kernels.active_backend() == expected
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "auto")
-        assert kernels.active_backend() == expected
+def scalar_mode_sum(w, amp_grad, amp_field, q, g, L, shift, cterm):
+    """The kernel's sum, one angle and one mode at a time.
 
-    def test_explicit_numpy(self, monkeypatch):
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numpy")
-        assert kernels.active_backend() == "numpy"
+    Y_i(q) = exp(-i q shift) * integral_0^L exp(-i q y) sin(w_i y) dy, the
+    shifted y' integral written with the scalar closed form.
+    """
+    out = []
+    for qj, gj in zip(q.tolist(), g.tolist()):
+        s_grad = s_field = 0j
+        for wi, ag, af in zip(w.tolist(), amp_grad.tolist(), amp_field.tolist()):
+            p = round(wi * L / math.pi)
+            y = sine_fourier_integral(p, qj, L) * cmath.exp(-1j * qj * shift)
+            s_grad += ag * y
+            s_field += af * y
+        out.append(s_grad + cterm * gj * s_field)
+    return np.array(out)
 
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "cuda")
-        with pytest.raises(RuntimeError):
-            kernels.active_backend()
 
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-class TestBackendEquivalence:
+class TestModeSum:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_inputs_agree(self, monkeypatch, seed):
+    def test_random_inputs_agree(self, seed):
         args = random_kernel_inputs(seed)
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numba")
-        via_numba = kernels.mode_sum(*args)
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numpy")
-        via_numpy = kernels.mode_sum(*args)
-        scale = np.abs(via_numpy).max()
-        np.testing.assert_allclose(via_numba, via_numpy, atol=1e-12 * scale, rtol=1e-12)
+        got = kernels.mode_sum(*args)
+        ref = scalar_mode_sum(*args)
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(got, ref, atol=1e-12 * scale, rtol=1e-12)
 
-    def test_singular_window_agrees(self, monkeypatch):
-        # Hit the removable singularity q = w exactly on both backends.
+    def test_singular_window_agrees(self):
+        # Hit the removable singularity q = +w and q = -w exactly, and a
+        # regular q.
         L = 1.0
         w = np.array([math.pi / L, 3 * math.pi / L])
         amp_grad = np.array([1.0 + 0.5j, -0.25j])
@@ -62,16 +60,6 @@ class TestBackendEquivalence:
         q = np.array([math.pi / L, -3 * math.pi / L, 1.0])
         g = np.ones(3)
         args = (w, amp_grad, amp_field, q, g, L, 0.7, complex(2j))
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numba")
-        via_numba = kernels.mode_sum(*args)
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numpy")
-        via_numpy = kernels.mode_sum(*args)
-        np.testing.assert_allclose(via_numba, via_numpy, rtol=1e-13, atol=1e-16)
-
-    def test_full_scan_backend_independent(self, monkeypatch, coarse_detector_config):
-        cfg = with_detector(coarse_detector_config, steps=101)
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numba")
-        a = scan(cfg).intensity_total
-        monkeypatch.setenv("DOUBLESLIT_BACKEND", "numpy")
-        b = scan(cfg).intensity_total
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+        np.testing.assert_allclose(
+            kernels.mode_sum(*args), scalar_mode_sum(*args), rtol=1e-13, atol=1e-16
+        )
