@@ -23,6 +23,7 @@ from .config import (
 )
 from .modes import (
     ModeIndex,
+    ModeTable,
     ModeTerm,
     TruncationWarning,
     axial_wavenumber,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .config import HBAR, SimConfig, direction_cosine, wavenumber
-from .modes import ModeTerm, enumerate_modes, thickness_attenuation
+from .modes import ModeTerm, complex_product, enumerate_modes, thickness_attenuations
 
 SINGULAR_EPS = kernels.SINGULAR_EPS
 
@@ -120,6 +120,20 @@ class _ScanPlan:
     k: float
 
 
+def _row_sums(m: np.ndarray, n: np.ndarray, terms: np.ndarray, rows: int) -> np.ndarray:
+    """Sum of terms over each row m < rows, added left to right in n from 0j.
+
+    That is the order of a scalar loop; np.sum and np.add.reduceat add
+    pairwise and round differently.  Gaps and the padding past a row's end
+    add 0j, which leaves a sum unchanged.
+    """
+    padded = np.zeros((rows, n.max(initial=-1) + 2), dtype=np.complex128)
+    padded[m, n + 1] = terms
+    # A contiguous copy: the kernel's matrix product rounds differently
+    # on a strided vector.
+    return np.ascontiguousarray(np.cumsum(padded, axis=1)[:, -1])
+
+
 def _build_plan(config: SimConfig) -> _ScanPlan:
     k = wavenumber(config.beam)
     slits = config.slits
@@ -127,21 +141,20 @@ def _build_plan(config: SimConfig) -> _ScanPlan:
     alpha = config.beam.alpha
     q_x = k * math.sin(alpha)
 
+    modes = enumerate_modes(config)
+    # Rows m = 0, 1, ... each hold n = 0, 1, ...; the table may be empty.
+    m_count = modes.m.max(initial=-1) + 1
+    n_count = modes.n.max(initial=-1) + 1
     # The x' integrals depend only on n; compute each once per scan.
-    x_cache: dict[int, complex] = {}
-    grad: dict[int, complex] = {}
-    field: dict[int, complex] = {}
-    for term in enumerate_modes(config):
-        m, n = term.index.m, term.index.n
-        x_n = x_cache.get(n)
-        if x_n is None:
-            x_n = x_cache[n] = sine_fourier_integral(2 * n + 1, q_x, slits.length_b)
-        base = term.coefficient * thickness_attenuation(term.k_z, slits.thickness_c) * x_n
-        grad[m] = grad.get(m, 0j) + base * (1j * term.k_z)
-        field[m] = field.get(m, 0j) + base
+    x_n = np.array(
+        [sine_fourier_integral(2 * n + 1, q_x, slits.length_b) for n in range(n_count)],
+        dtype=np.complex128,
+    )
+    attenuation = thickness_attenuations(modes.k_z, slits.thickness_c)
+    base = complex_product(complex_product(modes.coefficient, attenuation), x_n[modes.n])
+    grad = complex_product(base, complex_product(1j, modes.k_z))
 
-    ms = sorted(grad)
-    w_y = np.array([(2 * m + 1) * math.pi / slits.width_a for m in ms])
+    w_y = (2 * np.arange(m_count) + 1) * math.pi / slits.width_a
     envelope = (
         -cmath.exp(1j * k * R)
         / (4.0 * math.pi * R)
@@ -149,8 +162,8 @@ def _build_plan(config: SimConfig) -> _ScanPlan:
     )
     return _ScanPlan(
         w_y=w_y,
-        amp_grad=np.array([grad[m] for m in ms]),
-        amp_field=np.array([field[m] for m in ms]),
+        amp_grad=_row_sums(modes.m, modes.n, grad, m_count),
+        amp_field=_row_sums(modes.m, modes.n, base, m_count),
         envelope=envelope,
         cterm=1j * k - 1.0 / R,
         k=k,

@@ -153,6 +153,31 @@ class TestMissingOrdersMode:
         assert "missing-order report" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def memoised_oracles():
+    """Memoising wrappers of the two oracles, keyed by their arguments.
+
+    The failure probes perturb only the closed forms, which the oracle
+    never calls (test_quadrature checks its imports), so they can share
+    the oracle values of one oracle-check run.
+    """
+    memo = {}
+
+    def memoise(oracle):
+        def wrapped(*args, **kwargs):
+            key = (oracle.__name__, args, tuple(sorted(kwargs.items())))
+            if key not in memo:
+                memo[key] = oracle(*args, **kwargs)
+            return memo[key]
+
+        return wrapped
+
+    return {
+        name: memoise(getattr(quadrature, name))
+        for name in ("oracle_sine_fourier", "oracle_surface_amplitude")
+    }
+
+
 class TestOracleCheckMode:
     def test_oracle_check_passes(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, FAST_KEYS)
@@ -175,8 +200,10 @@ class TestOracleCheckMode:
             with pytest.warns(TruncationWarning):
                 run(RunRequest(cfg_path, str(tmp_path / "s.csv"), "scan"))
 
-    def test_residual_failure_exits_two(self, tmp_path, monkeypatch):
+    def test_residual_failure_exits_two(self, tmp_path, monkeypatch, memoised_oracles):
         # Designed failure probe: perturb the closed form past tolerance.
+        for name, oracle in memoised_oracles.items():
+            monkeypatch.setattr(quadrature, name, oracle)
         true_form = farfield.sine_fourier_integral
         monkeypatch.setattr(
             farfield,
@@ -187,8 +214,12 @@ class TestOracleCheckMode:
         status = run(RunRequest(cfg_path, str(tmp_path / "r.csv"), "oracle-check"))
         assert status == EXIT_RESIDUAL
 
-    def test_kernel_drift_fails_only_the_surface_rows(self, tmp_path, monkeypatch):
+    def test_kernel_drift_fails_only_the_surface_rows(
+        self, tmp_path, monkeypatch, memoised_oracles
+    ):
         # Designed failure probe: perturb the mode-sum kernel past tolerance.
+        for name, oracle in memoised_oracles.items():
+            monkeypatch.setattr(quadrature, name, oracle)
         true_kernel = kernels.mode_sum
         monkeypatch.setattr(kernels, "mode_sum", lambda *args: true_kernel(*args) * (1 + 1e-5))
         cfg_path = write_config(tmp_path, FAST_KEYS)

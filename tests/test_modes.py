@@ -1,21 +1,29 @@
 """In-slit eigenmode expansion: coefficients, dispersion, truncation."""
 
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from doubleslit import farfield, modes
 from doubleslit.config import (
     SlitGeometry,
     parse_config,
     with_truncation,
     wavenumber,
 )
+from doubleslit.figures import FIGURE_GEOMETRY, figure_config
 from doubleslit.modes import (
     ModeIndex,
+    ModeTable,
+    ModeTerm,
     TruncationWarning,
     axial_wavenumber,
+    complex_product,
     enumerate_modes,
     in_slit_wavefunction,
     mode_coefficient,
@@ -278,3 +286,222 @@ class TestModeTermContract:
                 assert t.k_z.imag == 0.0 and 0.0 <= t.k_z.real <= k
             else:
                 assert t.k_z.real == 0.0 and t.k_z.imag > 0.0
+
+
+# --- the mode table and the plan against scalar references ----------------
+
+
+def reference_modes(config):
+    """The scalar enumeration loop: (m, n, coefficient, k_z, propagating) rows."""
+    k = wavenumber(config.beam)
+    slits = config.slits
+    trunc = config.truncation
+    amp = config.beam.amplitude
+    c = slits.thickness_c
+
+    idx0 = ModeIndex(0, 0)
+    ref = abs(
+        mode_coefficient(idx0, amp)
+        * thickness_attenuation(axial_wavenumber(idx0, slits, k), c)
+    )
+    cutoff = trunc.evanescent_drop_tol * ref
+
+    rows = []
+    for m in range(trunc.m_max + 1):
+        kept_any = False
+        for n in range(trunc.n_max + 1):
+            idx = ModeIndex(m, n)
+            kz = axial_wavenumber(idx, slits, k)
+            propagating = kz.imag == 0.0
+            coeff = mode_coefficient(idx, amp)
+            weight = abs(coeff * thickness_attenuation(kz, c))
+            if propagating or weight >= cutoff:
+                rows.append((m, n, coeff, kz, propagating))
+                kept_any = True
+            else:
+                break
+        if not kept_any:
+            break
+
+    idx_corner = ModeIndex(trunc.m_max, trunc.n_max)
+    kz_corner = axial_wavenumber(idx_corner, slits, k)
+    w_corner = abs(mode_coefficient(idx_corner, amp) * thickness_attenuation(kz_corner, c))
+    if w_corner >= cutoff:
+        warnings.warn("reference: corner mode above the drop tolerance", TruncationWarning)
+    return rows
+
+
+def reference_plan(config, rows):
+    """The scalar plan loop: per-m sums in a dict, in enumeration order."""
+    k = wavenumber(config.beam)
+    slits = config.slits
+    q_x = k * math.sin(config.beam.alpha)
+    x_cache, grad, field = {}, {}, {}
+    for m, n, coeff, kz, _ in rows:
+        x_n = x_cache.get(n)
+        if x_n is None:
+            x_n = x_cache[n] = farfield.sine_fourier_integral(2 * n + 1, q_x, slits.length_b)
+        base = coeff * thickness_attenuation(kz, slits.thickness_c) * x_n
+        grad[m] = grad.get(m, 0j) + base * (1j * kz)
+        field[m] = field.get(m, 0j) + base
+    ms = sorted(grad)
+    w_y = np.array([(2 * m + 1) * math.pi / slits.width_a for m in ms])
+    return w_y, np.array([grad[m] for m in ms]), np.array([field[m] for m in ms])
+
+
+def reference_columns(rows):
+    m, n, coeff, kz, prop = zip(*rows)
+    return {
+        "m": np.array(m, dtype=np.int64),
+        "n": np.array(n, dtype=np.int64),
+        "coefficient": np.array(coeff, dtype=np.float64),
+        "k_z": np.array(kz, dtype=np.complex128),
+        "propagating": np.array(prop, dtype=np.bool_),
+    }
+
+
+def quiet(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURE_GEOMETRY))
+def test_table_and_plan_match_scalar_loops_bit_for_bit(figure_id):
+    config = figure_config(figure_id)
+    rows = quiet(reference_modes, config)
+    table = quiet(enumerate_modes, config)
+    for name, expected in reference_columns(rows).items():
+        got = getattr(table, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+    plan = quiet(farfield._build_plan, config)
+    w_y, amp_grad, amp_field = reference_plan(config, rows)
+    assert plan.w_y.tobytes() == w_y.tobytes()
+    assert plan.amp_grad.tobytes() == amp_grad.tobytes()
+    assert plan.amp_field.tobytes() == amp_field.tobytes()
+    assert plan.amp_grad.flags.c_contiguous and plan.amp_field.flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a_lam=st.floats(0.5, 60.0),
+    b_lam=st.floats(0.5, 60.0),
+    c_lam=st.floats(0.0, 50.0),
+    m_max=st.integers(0, 64),
+    n_max=st.integers(0, 64),
+    tol=st.floats(1e-9, 1e-2),
+    block=st.sampled_from((1, 5, modes.ENUMERATION_BLOCK)),
+)
+def test_kept_set_and_plan_match_scalar_loops(a_lam, b_lam, c_lam, m_max, n_max, tol, block):
+    # b is drawn too, so that rows also end before the n cap; small blocks
+    # make rows span several of them.
+    config = parse_config(
+        f"a = {a_lam!r} lambda\nb = {b_lam!r} lambda\nc = {c_lam!r} lambda\n"
+        f"m_max = {m_max}\nn_max = {n_max}\nevanescent_drop_tol = {tol!r}\n"
+    )
+    with warnings.catch_warnings(record=True) as ref_caught:
+        warnings.simplefilter("always")
+        rows = reference_modes(config)
+    with mock.patch.object(modes, "ENUMERATION_BLOCK", block):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = enumerate_modes(config)
+        plan = quiet(farfield._build_plan, config)
+    assert list(zip(table.m.tolist(), table.n.tolist())) == [(m, n) for m, n, *_ in rows]
+    # Same warning condition, attributed to the caller of enumerate_modes.
+    assert len(caught) == len(ref_caught) <= 1
+    assert all(w.category is TruncationWarning and w.filename == __file__ for w in caught)
+    for got, expected in zip((plan.w_y, plan.amp_grad, plan.amp_field), reference_plan(config, rows)):
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+def test_enumeration_memory_is_bounded_at_huge_caps():
+    # Row m = 0 keeps 866 modes and row m = 1 keeps none, so the scalar loop
+    # ends at once; an enumeration sized by the caps would not.
+    config = with_truncation(
+        parse_config("a = 1 lambda\nb = 1000 lambda\nc = 100 lambda\n"),
+        m_max=10**9,
+        n_max=10**9,
+    )
+    rows = reference_modes(config)
+    tracemalloc.start()
+    try:
+        table = enumerate_modes(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(rows) == 866
+    for name, expected in reference_columns(rows).items():
+        assert getattr(table, name).tobytes() == expected.tobytes(), name
+    assert peak < 4 * 1024 * 1024
+
+
+def test_complex_product_rounds_as_python():
+    rng = np.random.default_rng(5)
+    special = np.array(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e300, -1e300, 1.0, -1.0]
+    )
+    size = 4000
+    parts = [
+        np.where(
+            rng.random(size) < 0.3,
+            rng.choice(special, size),
+            rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size),
+        )
+        for _ in range(4)
+    ]
+    a = parts[0] + 0j
+    a.imag = parts[1]
+    b = parts[2] + 0j
+    b.imag = parts[3]
+    with np.errstate(all="ignore"):
+        got = complex_product(a, b)
+    expected = np.array([complex(x) * complex(y) for x, y in zip(a.tolist(), b.tolist())])
+    assert got.tobytes() == expected.tobytes()
+    # A real operand is complex with imaginary part +0.0, as in Python.
+    real = parts[0]
+    with np.errstate(all="ignore"):
+        got = complex_product(real, b)
+    expected = np.array([x * complex(y) for x, y in zip(real.tolist(), b.tolist())])
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestModeTable:
+    def test_sequence_of_mode_term_views(self, small_config):
+        table = enumerate_modes(small_config)
+        terms = list(table)
+        assert isinstance(table, ModeTable) and len(terms) == len(table) > 1
+        assert all(isinstance(t, ModeTerm) for t in terms)
+        assert [table[i] for i in range(len(table))] == terms
+        assert table[-1] == terms[-1]
+        first, *_ = table
+        assert first == ModeTerm(
+            ModeIndex(0, 0), float(table.coefficient[0]), complex(table.k_z[0]), True
+        )
+        assert type(first.coefficient) is float and type(first.k_z) is complex
+        with pytest.raises(IndexError):
+            table[len(table)]
+
+    def test_columns_are_read_only(self, small_config):
+        table = enumerate_modes(small_config)
+        for name in ("m", "n", "coefficient", "k_z", "propagating"):
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+            with pytest.raises(AttributeError):
+                setattr(table, name, getattr(table, name).copy())
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_empty_table_scans_to_zero(self):
+        # A coefficient that overflows to inf times an attenuation that
+        # underflows to 0 gives a NaN weight, so not even (0, 0) is kept.
+        config = parse_config(
+            "amplitude = 1e308\na = 0.4 lambda\nc = 1000 lambda\nbeta_steps = 5\n"
+        )
+        assert len(quiet(enumerate_modes, config)) == 0
+        result = quiet(farfield.scan, config)
+        assert result.intensity_total.tolist() == [0.0] * 5
+
+    def test_columns_must_share_one_length(self):
+        with pytest.raises(ValueError):
+            ModeTable([0, 0], [0], [1.0], [1j], [False])
