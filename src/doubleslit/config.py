@@ -45,6 +45,12 @@ class BeamSpec:
         _require(self.mass > 0, "mass_kg must be > 0")
         _require(self.energy > 0, "energy_ev must be > 0")
         _require(self.amplitude > 0, "amplitude must be > 0")
+        # The largest mode coefficient, 16A/pi^2, must be finite: inf
+        # coefficients give inf or NaN weights and amplitudes.
+        _require(
+            math.isfinite(16.0 * self.amplitude / math.pi**2),
+            "amplitude too large: the mode coefficient 16*A/pi^2 overflows",
+        )
         _require(abs(self.alpha) < math.pi / 2, "alpha_rad must satisfy |alpha| < pi/2")
 
 

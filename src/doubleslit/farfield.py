@@ -129,8 +129,8 @@ def _row_sums(m: np.ndarray, n: np.ndarray, terms: np.ndarray, rows: int) -> np.
     """
     padded = np.zeros((rows, n.max(initial=-1) + 2), dtype=np.complex128)
     padded[m, n + 1] = terms
-    # A contiguous copy: the kernel's matrix product rounds differently
-    # on a strided vector.
+    # A contiguous copy, so that the padded rows are not kept alive by a
+    # strided view of their last column.
     return np.ascontiguousarray(np.cumsum(padded, axis=1)[:, -1])
 
 

@@ -98,6 +98,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="beta_steps"):
             parse_config("beta_steps = 1\n")
 
+    def test_overflowing_amplitude_rejected(self):
+        # 16A/pi^2 overflows once 16A passes the largest double (~1.8e308).
+        assert parse_config("amplitude = 1e307\n").beam.amplitude == 1e307
+        for value in ("2e307", "1e308"):
+            with pytest.raises(ConfigError, match="amplitude too large"):
+                parse_config(f"amplitude = {value}\n")
+        # The parser already refuses "inf"; the beam itself refuses it too.
+        with pytest.raises(ConfigError, match="amplitude too large"):
+            default_beam(amplitude=math.inf)
+
     def test_truncation_invariants(self):
         with pytest.raises(ConfigError, match="evanescent_drop_tol"):
             parse_config("evanescent_drop_tol = 1.5\n")
