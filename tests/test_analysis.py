@@ -5,9 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleslit.analysis import (
     MissingOrderReport,
+    _candidate_orders,
+    _nearest_row,
+    _peak_within,
     factorization_audit,
     find_peaks,
     missing_orders,
@@ -17,6 +22,7 @@ from doubleslit.analysis import (
 )
 from doubleslit.config import de_broglie_wavelength, parse_config, with_detector
 from doubleslit.farfield import SCAN_COLUMNS, DiffractionScan, scan
+from doubleslit.figures import FIGURE_GEOMETRY, figure_config
 
 
 def synthetic_scan(config, betas, intensities):
@@ -174,6 +180,141 @@ class TestMissingOrders:
         report = missing_orders(coarse_detector_config, scan(coarse_detector_config))
         assert isinstance(report, MissingOrderReport)
         assert report.suppression_threshold == 0.05
+
+
+def reference_intensity_at(sin_beta, inten, s_center):
+    """The former lookup: the first row of least |sin_beta - s|, over all rows."""
+    return float(inten[np.argmin(np.abs(sin_beta - s_center))])
+
+
+def reference_peak_intensity(sin_beta, inten, s_center, s_half_window):
+    """The former window: a mask over all rows."""
+    mask = np.abs(sin_beta - s_center) <= s_half_window
+    if not mask.any():
+        return None
+    return float(inten[mask].max())
+
+
+def reference_numeric_missing(config, result, threshold):
+    """The former numeric verdicts, from the full-scan lookups and np.median."""
+    lam = de_broglie_wavelength(config.beam)
+    spacing_s = lam / (config.slits.width_a + config.slits.separation_d)
+    inten = result.intensity_total
+    sin_beta = np.sin(result.beta)
+    s_scan_max = float(sin_beta.max())
+    observable = [
+        j
+        for j in _candidate_orders(spacing_s, s_scan_max)
+        if j * spacing_s < math.cos(config.beam.alpha)
+    ]
+    at_position, peak_near = {}, {}
+    for j in observable:
+        s_j = min(j * spacing_s, s_scan_max)
+        at_position[j] = reference_intensity_at(sin_beta, inten, s_j)
+        value = reference_peak_intensity(sin_beta, inten, s_j, 0.4 * spacing_s)
+        if value is not None:
+            peak_near[j] = value
+    numeric = []
+    for j in observable:
+        neighbors = [peak_near[i] for i in (j - 1, j + 1) if i in peak_near]
+        if neighbors and at_position[j] < threshold * float(np.median(neighbors)):
+            numeric.append(j)
+    return tuple(numeric)
+
+
+# Gaps between sorted sines: repeats, gaps at and below one ulp of 1.0 that
+# rounding can turn into ties, and ordinary grid steps.
+SINE_GAPS = [0.0, 1e-17, 1.1e-16, 2.3e-16, 1e-12, 1e-4, 0.05]
+OFFSETS = [0.0, 1e-17, -1e-17, 1.2e-16, -1.2e-16, 3e-4, -3e-4]
+
+
+def floats_around(value, count=3):
+    """value and the count floats either side of it."""
+    out = [value]
+    below = above = value
+    for _ in range(count):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+@st.composite
+def order_lookup(draw):
+    """Ascending sines, a centre near or between them, and a half-window.
+
+    Half the cases also hold the floats next to s - h and s + h, where the
+    rounding of the window ends decides which rows pass the exact test;
+    that takes cancellation, so h is also drawn near |s|.
+    """
+    base = draw(st.floats(-1.0, 1.0))
+    gaps = draw(st.lists(st.sampled_from(SINE_GAPS), max_size=60))
+    sin_beta = base + np.concatenate([[0.0], np.cumsum(gaps)])
+    k = draw(st.integers(0, sin_beta.size - 1))
+    if draw(st.booleans()):
+        s_center = float(sin_beta[k]) + draw(st.sampled_from(OFFSETS))
+    else:
+        s_center = draw(st.floats(float(sin_beta[0]) - 0.1, float(sin_beta[-1]) + 0.1))
+    edge = abs(float(sin_beta[draw(st.integers(0, sin_beta.size - 1))]) - s_center)
+    h = draw(
+        st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 0.0])
+        | st.floats(0.0, 0.2)
+        | st.floats(0.5, 2.0).map(lambda f: f * abs(s_center))
+    )
+    if draw(st.booleans()):
+        ends = floats_around(s_center - h) + floats_around(s_center + h)
+        sin_beta = np.sort(np.concatenate([sin_beta, ends]))
+    return sin_beta, s_center, float(h)
+
+
+class TestOrderLookups:
+    @settings(max_examples=300, deadline=None)
+    @given(case=order_lookup())
+    def test_windowed_lookups_pick_the_full_scan_rows(self, case):
+        sin_beta, s_center, h = case
+        near = _nearest_row(sin_beta, s_center)
+        assert near == int(np.argmin(np.abs(sin_beta - s_center)))
+        # Row numbers as intensities: the peak names the window's last row,
+        # and with the sign flipped its first.
+        rows = np.arange(sin_beta.size, dtype=float)
+        for inten in (rows, -rows):
+            assert _peak_within(sin_beta, inten, s_center, h, near) == (
+                reference_peak_intensity(sin_beta, inten, s_center, h)
+            )
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURE_GEOMETRY))
+    def test_presets_keep_every_row_and_verdict(self, figure_id):
+        cfg = figure_config(figure_id)
+        result = scan(cfg)
+        lam = de_broglie_wavelength(cfg.beam)
+        spacing_s = lam / (cfg.slits.width_a + cfg.slits.separation_d)
+        inten = result.intensity_total
+        sin_beta = np.sin(result.beta)
+        s_scan_max = float(sin_beta.max())
+        orders = _candidate_orders(spacing_s, s_scan_max)
+        assert orders
+        for j in orders:
+            s_j = min(j * spacing_s, s_scan_max)
+            near = _nearest_row(sin_beta, s_j)
+            assert near == int(np.argmin(np.abs(sin_beta - s_j)))
+            assert _peak_within(sin_beta, inten, s_j, 0.4 * spacing_s, near) == (
+                reference_peak_intensity(sin_beta, inten, s_j, 0.4 * spacing_s)
+            )
+        for threshold in (0.05, 0.3, 0.6):
+            report = missing_orders(cfg, result, threshold)
+            assert report.numeric_missing == reference_numeric_missing(cfg, result, threshold)
+        rows = report_rows(cfg, result, report)
+        assert [value for _, _, value, _, _ in rows] == [
+            reference_intensity_at(sin_beta, inten, min(j * spacing_s, s_scan_max))
+            for j in orders
+        ]
+
+    def test_descending_scan_rejected(self, coarse_detector_config):
+        result = scan(coarse_detector_config)
+        flipped = synthetic_scan(
+            coarse_detector_config, result.beta[::-1], result.intensity_total[::-1]
+        )
+        with pytest.raises(ValueError, match="ascending"):
+            missing_orders(coarse_detector_config, flipped)
 
 
 class TestFactorizationAudit:

@@ -3,6 +3,9 @@
 import ast
 import cmath
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from doubleslit.config import parse_config, with_truncation, wavenumber
 from doubleslit.farfield import DirectionAngles, amplitudes, sine_fourier_integral
 from doubleslit.modes import TruncationWarning, enumerate_modes, thickness_attenuation
 from doubleslit.quadrature import (
+    GAUSS_NODES,
     MAX_POINTS,
     QuadratureDepthError,
     QuadratureResult,
@@ -62,12 +66,41 @@ class TestIntegrate1D:
         assert lo <= 0.3 <= hi
         assert f"[{lo}, {hi}]" in str(exc.value)
 
-    def test_panel_without_interior_midpoint_keeps_its_simpson_value(self):
+    def test_panel_without_interior_midpoint_keeps_its_whole_panel_value(self):
         hi = np.nextafter(1.0, 2.0)
         got = integrate_1d(np.ones_like, 1.0, hi, 1e-300)
         assert got.value == pytest.approx(hi - 1.0, rel=1e-15)
         assert got.abs_error_estimate == 0.0
-        assert got.evaluations == 3
+        assert got.evaluations == GAUSS_NODES
+
+    def test_rule_degree_and_node_count(self):
+        # An n-point Gauss-Legendre rule is exact for degree 2n - 1: one
+        # panel converges in its first bisection pass, after n points for
+        # the whole panel and 2n for its halves.
+        rng = np.random.default_rng(5)
+        coeffs = rng.normal(size=2 * GAUSS_NODES) + 1j * rng.normal(size=2 * GAUSS_NODES)
+        lo, hi = -0.7, 1.3
+        powers = np.arange(1, 2 * GAUSS_NODES + 1)
+        exact = np.sum(coeffs * (hi**powers - lo**powers) / powers)
+        # A few units of roundoff on sum |c_k| integral |x|^k dx.
+        bound = 8 * np.finfo(float).eps * np.sum(np.abs(coeffs) * 2 * 1.3**powers / powers)
+        got = integrate_1d(lambda x: np.polynomial.polynomial.polyval(x, coeffs), lo, hi, 1e-12)
+        assert got.evaluations == GAUSS_NODES + 2 * GAUSS_NODES
+        assert abs(got.value - exact) <= bound
+        # Degree 2n is no longer exact, so a tight tolerance needs more passes.
+        got = integrate_1d(lambda x: x ** (2 * GAUSS_NODES), 0.0, 1.0, 1e-14)
+        assert got.evaluations > GAUSS_NODES + 2 * GAUSS_NODES
+        assert got.value.real == pytest.approx(1.0 / (2 * GAUSS_NODES + 1), rel=1e-14)
+
+    def test_converged_panel_keeps_its_halves(self):
+        # x^2n misses on the whole panel by ~3e-11 relative, and on the two
+        # halves by 2^-2n of that; a loose tol accepts the first pass, whose
+        # value must be the halves' sum.
+        got = integrate_1d(lambda x: x ** (2 * GAUSS_NODES), 0.0, 1.0, 1e-10)
+        exact = 1.0 / (2 * GAUSS_NODES + 1)
+        assert got.evaluations == GAUSS_NODES + 2 * GAUSS_NODES
+        assert got.value.real == pytest.approx(exact, rel=1e-14)
+        assert got.abs_error_estimate > 1e3 * abs(got.value - exact)
 
     def test_self_consistency_under_tolerance_halving(self):
         f = lambda x: np.exp(-1j * 40 * x) * np.sin(3 * x)  # noqa: E731
@@ -175,6 +208,27 @@ def test_oracle_imports_nothing_from_the_closed_forms():
             imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
     assert {"config", "modes"} <= imported
     assert not imported & {"farfield", "kernels"}
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # The rule's nodes come from numpy.polynomial on first use, so that the
+    # scan modes do not pay for its import.
+    code = (
+        "import sys\n"
+        "import doubleslit.cli\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "doubleslit.quadrature.oracle_sine_fourier(1, 0.5, 1.0)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.split() == ["False", "True"]
 
 
 class TestOracleSineFourier:
