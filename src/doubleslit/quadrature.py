@@ -3,9 +3,11 @@
 Adaptive Gauss-Legendre quadrature with interval bisection, applied to
 complex integrands.  Each panel gets an n = GAUSS_NODES point rule G; a
 bisected panel is accepted when |G(left) + G(right) - G(whole)| meets its
-share of the tolerance, and contributes G(left) + G(right).  The initial
-panel count scales with the oscillation count of the integrand so no
-oscillation is straddled by a single panel.
+share of the tolerance, and contributes G(left) + G(right).  The oracles
+start each integrand from initial panels that span up to
+HALF_OSCILLATIONS_PER_PANEL half oscillations (two full oscillations), so
+an initial panel's rule value may straddle several oscillations; the
+convergence test, not the start, decides how finely a panel ends up cut.
 
 The integrator is level-synchronous: each pass bisects up to
 MAX_POINTS // (2 n) pending panels, taken from a LIFO stack, with a single
@@ -31,11 +33,15 @@ from typing import Callable
 import numpy as np
 
 from .config import HBAR, SimConfig, direction_cosine, wavenumber
-from .modes import enumerate_modes, thickness_attenuation
+from .modes import enumerate_modes
 
 MAX_DEPTH = 60
 # Points of the Gauss-Legendre rule on each panel.
 GAUSS_NODES = 10
+# Half oscillations of the integrand an oracle's initial panel spans.  Two
+# full oscillations put 5 of the GAUSS_NODES points on each, and 10 on each
+# after the first bisection, which the rule resolves.
+HALF_OSCILLATIONS_PER_PANEL = 4
 # Most points the integrand receives in one call.
 MAX_POINTS = 2048
 # Inner x' integrals the surface oracle runs as one batch.
@@ -48,6 +54,11 @@ class QuadratureDepthError(RuntimeError):
     def __init__(self, lo: float, hi: float):
         super().__init__(f"adaptive quadrature depth exhausted on subinterval [{lo}, {hi}]")
         self.subinterval = (lo, hi)
+
+
+def _initial_panels(half_oscillations):
+    """Initial panel count for an integrand of that many half oscillations."""
+    return -(-half_oscillations // HALF_OSCILLATIONS_PER_PANEL)
 
 
 @cache
@@ -79,7 +90,7 @@ def integrate_1d(
     hi: float,
     tol: float,
     max_depth: int = MAX_DEPTH,
-    panels: int = 1,
+    panels: int | np.ndarray = 1,
     batch: int | None = None,
 ) -> QuadratureResult:
     """Adaptive Gauss-Legendre integral of a complex-valued f over [lo, hi].
@@ -88,16 +99,25 @@ def integrate_1d(
     B, f(x, j) evaluates integrand j[i] at x[i] for B integrands over the
     same [lo, hi]; each is refined on its own panels to its own full tol,
     so it gets the value it would get alone (up to the order of summation),
-    and value and abs_error_estimate are arrays of length B.  f never
-    receives more than MAX_POINTS points per call; evaluations counts the
-    points evaluated.
+    and value and abs_error_estimate are arrays of length B.  Each
+    integrand starts from `panels` equal panels, which share its tol; with
+    a batch, `panels` may also be an array of one count per integrand.  f
+    never receives more than MAX_POINTS points per call; evaluations counts
+    the points evaluated.
     """
     if not lo < hi:
         raise ValueError("integration bounds must satisfy lo < hi")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    panels = max(1, int(panels))
     size = 1 if batch is None else int(batch)
+    counts = np.asarray(panels, dtype=int)
+    if counts.ndim == 0:
+        counts = np.full(size, counts)
+    if counts.shape != (size,):
+        raise ValueError(f"panels must hold one count per integrand ({size}), not {counts.shape}")
+    if (counts < 1).any():
+        raise ValueError("panel counts must be >= 1")
+    share = tol / counts
     g = f if batch is not None else (lambda x, j: f(x))
     nodes, weights = _gauss_legendre()
     evaluations = 0
@@ -106,18 +126,34 @@ def integrate_1d(
         """Rule value and sum of |w f| per panel [a, b] of integrand which."""
         nonlocal evaluations
         half = 0.5 * (b - a)
-        x = ((0.5 * (a + b))[:, None] + half[:, None] * nodes).ravel()
-        j = np.repeat(which, GAUSS_NODES)
-        evaluations += x.size
-        fx = np.empty(x.size, dtype=complex)
-        for s in range(0, x.size, MAX_POINTS):
-            fx[s : s + MAX_POINTS] = g(x[s : s + MAX_POINTS], j[s : s + MAX_POINTS])
-        fx = fx.reshape(a.size, GAUSS_NODES)
-        return half * (fx @ weights), half * (np.abs(fx) @ weights)
+        mid = 0.5 * (a + b)
+        total = a.size * GAUSS_NODES
+        evaluations += total
+        rule = np.empty(a.size, dtype=complex)
+        mag = np.empty(a.size)
+        # Panels are summed as each call of g completes them, carrying a
+        # split panel's first points over, so that memory stays within a
+        # call however many panels there are.
+        carry = np.empty(0, dtype=complex)
+        done = 0
+        for s in range(0, total, MAX_POINTS):
+            panel, node = np.divmod(np.arange(s, min(s + MAX_POINTS, total)), GAUSS_NODES)
+            fx = np.concatenate([carry, g(mid[panel] + half[panel] * nodes[node], which[panel])])
+            full = fx.size // GAUSS_NODES
+            rows = fx[: full * GAUSS_NODES].reshape(full, GAUSS_NODES)
+            rule[done : done + full] = rows @ weights
+            mag[done : done + full] = np.abs(rows) @ weights
+            carry = fx[full * GAUSS_NODES :]
+            done += full
+        return half * rule, half * mag
 
-    edges = np.linspace(lo, hi, panels + 1)
-    a, b = np.tile(edges[:-1], size), np.tile(edges[1:], size)
-    which = np.repeat(np.arange(size), panels)
+    # Integrand j's panels are those of np.linspace(lo, hi, counts[j] + 1).
+    which = np.repeat(np.arange(size), counts)
+    count = counts[which]
+    k = np.arange(which.size) - (np.cumsum(counts) - counts)[which]
+    step = (hi - lo) / count
+    a = k * step + lo
+    b = np.where(k + 1 == count, hi, (k + 1) * step + lo)
     whole, _ = gauss(a, b, which)
     # LIFO stack of pending panels, as blocks of columns (a, b, whole, depth, which).
     stack = [(a, b, whole, np.zeros(a.size, dtype=int), which)]
@@ -162,7 +198,7 @@ def integrate_1d(
         # Roundoff floor: once the estimate falls below machine noise on the
         # panel's quadrature sum, further bisection cannot improve it.
         scale = scale[: a.size] + scale[a.size :]
-        done = est <= np.maximum(tol / panels * 0.5**depth, 4e-15 * scale)
+        done = est <= np.maximum(share[which] * 0.5**depth, 4e-15 * scale)
         retire(which[done], (left + right)[done], est[done])
         go = ~done
         if not go.any():
@@ -178,16 +214,38 @@ def integrate_1d(
     return QuadratureResult(value, err, evaluations)
 
 
-def oracle_sine_fourier(p: int, q: float, L: float, tol: float = 1e-12) -> complex:
-    """Quadrature of integral_0^L exp(-i q y) sin(p pi y / L) dy."""
-    if p <= 0 or p % 2 == 0:
-        raise ValueError("p must be a positive odd integer")
-    panels = p + math.ceil(abs(q) * L / math.pi) + 1
+def oracle_sine_fourier(p, q, L, tol: float = 1e-12) -> complex | np.ndarray:
+    """Quadrature of integral_0^L exp(-i q y) sin(p pi y / L) dy.
 
-    def f(y: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * q * y) * np.sin(p * math.pi * y / L)
+    p, q and L are scalars, giving a complex, or broadcastable sequences of
+    cases, giving an array of their shape; all cases run as one batched
+    quadrature.  Each is integrated as L * integral_0^1 exp(-i q L t)
+    sin(p pi t) dt, to an absolute tol * L.
+    """
+    p, q, L = np.broadcast_arrays(p, np.asarray(q, dtype=float), np.asarray(L, dtype=float))
+    shape = p.shape
+    p, q, L = p.ravel(), q.ravel(), L.ravel()
+    for valid, rule in (
+        ((p > 0) & (p % 2 == 1), "p must be a positive odd integer"),
+        (np.isfinite(q), "q must be finite"),
+        (np.isfinite(L) & (L > 0), "L must be finite and > 0"),
+    ):
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"sine oracle case {i} (p={p[i]}, q={q[i]}, L={L[i]}): {rule}")
+    qL = q * L
+    p_pi = p * math.pi
+    half_oscillations = p + np.ceil(np.abs(qL) / math.pi).astype(int) + 1
 
-    return integrate_1d(f, 0.0, L, tol * L, panels=panels).value
+    def f(t: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * qL[j] * t) * np.sin(p_pi[j] * t)
+
+    unit = integrate_1d(
+        f, 0.0, 1.0, tol, panels=_initial_panels(half_oscillations), batch=p.size
+    )
+    value = (L * unit.value).reshape(shape)
+    return complex(value) if value.ndim == 0 else value
 
 
 def oracle_surface_amplitude(
@@ -197,7 +255,10 @@ def oracle_surface_amplitude(
 
     The mode sum stays inside the integrand; only the x' and y' integrals
     are evaluated numerically.  tol is relative to a crude magnitude scale
-    of the integrand sum.
+    of the result, S = sum |weights| * (2 b / pi) * (2 a / pi) / (4 pi R)
+    over the modes' weights D e^(i k_z c) (i k_z + (i k - 1/R) g): the
+    outer integral's error estimate, and the inner integrals' estimates
+    summed over y', are each held to tol * S.
     """
     k = wavenumber(config.beam)
     slits = config.slits
@@ -208,26 +269,25 @@ def oracle_surface_amplitude(
     g = direction_cosine(angles.alpha, math.sin(angles.beta))
     cterm = 1j * k - 1.0 / R
 
-    terms = enumerate_modes(config)
-    m_orders = sorted({t.index.m for t in terms})
-    n_orders = sorted({t.index.n for t in terms})
-    m_pos = {m: i for i, m in enumerate(m_orders)}
-    n_pos = {n: i for i, n in enumerate(n_orders)}
-    weight = np.zeros((len(m_orders), len(n_orders)), dtype=complex)
-    for t in terms:
-        bracket = 1j * t.k_z + cterm * g
-        weight[m_pos[t.index.m], n_pos[t.index.n]] = (
-            t.coefficient * thickness_attenuation(t.k_z, c) * bracket
-        )
+    table = enumerate_modes(config)
+    m_orders, row = np.unique(table.m, return_inverse=True)
+    n_orders, col = np.unique(table.n, return_inverse=True)
+    weight = np.zeros((m_orders.size, n_orders.size), dtype=complex)
+    k_z = table.k_z
+    weight[row, col] = table.coefficient * np.exp(1j * k_z * c) * (1j * k_z + cterm * g)
 
-    w_m = np.array([(2 * m + 1) * math.pi / a for m in m_orders])
-    w_n = np.array([(2 * n + 1) * math.pi / b for n in n_orders])
+    w_m = (2 * m_orders + 1) * math.pi / a
+    w_n = (2 * n_orders + 1) * math.pi / b
     scale = float(np.abs(weight).sum()) * (2 * b / math.pi) * (2 * a / math.pi)
     outer_tol = tol * scale
     inner_tol = outer_tol / a
 
-    inner_panels = (2 * max(n_orders) + 1) + math.ceil(abs(q_x) * b / math.pi) + 1
-    outer_panels = (2 * max(m_orders) + 1) + math.ceil(abs(q_y) * a / math.pi) + 1
+    inner_panels = _initial_panels(
+        int(2 * n_orders[-1] + 1) + math.ceil(abs(q_x) * b / math.pi) + 1
+    )
+    outer_panels = _initial_panels(
+        int(2 * m_orders[-1] + 1) + math.ceil(abs(q_y) * a / math.pi) + 1
+    )
 
     def inner_f(coeff_n: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         def f(xp: np.ndarray, j: np.ndarray) -> np.ndarray:

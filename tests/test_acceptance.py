@@ -139,16 +139,18 @@ def test_criterion_3_factorization_identity():
 
 def test_criterion_4_oracle_equivalence():
     rng = np.random.default_rng(20250823)
-    worst_sine = 0.0
-    sine_ok = True
+    cases = []
     for _ in range(500):
         p = 2 * int(rng.integers(0, 20)) + 1
         L = float(rng.uniform(0.5, 2.0))
-        q = float(rng.uniform(-100.0, 100.0)) / L
+        cases.append((p, float(rng.uniform(-100.0, 100.0)) / L, L))
+    refs = oracle_sine_fourier(*zip(*cases), tol=1e-12)
+    worst_sine = 0.0
+    sine_ok = True
+    for (p, q, L), ref in zip(cases, refs):
         w = p * math.pi / L
         in_window = min(abs(q - w), abs(q + w)) * L < 1e-6
         closed = sine_fourier_integral(p, q, L)
-        ref = oracle_sine_fourier(p, q, L, tol=1e-12)
         residual = abs(closed - ref) / abs(ref)
         sine_ok &= residual < (1e-6 if in_window else 1e-9)
         worst_sine = max(worst_sine, residual)

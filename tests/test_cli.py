@@ -189,11 +189,22 @@ class TestOracleCheckMode:
             status = run(RunRequest(cfg_path, str(out), "oracle-check"))
         assert status == EXIT_OK
         assert [str(w.message) for w in caught] == []
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
         lines = out.read_text().splitlines()
         assert lines[0] == "case,residual,tolerance,pass"
         assert len(lines) == 1 + 200 + 3
         assert all(line.endswith("True") for line in lines[1:])
+        # One stdout line: each family's case count and worst residual.
+        rows = [line.split(",") for line in lines[1:]]
+        worst = {
+            family: max(float(r[1]) for r in rows if r[0].startswith(family))
+            for family in ("sine", "surface")
+        }
+        assert captured.out == (
+            f"oracle-check: sine 200 cases, worst residual {worst['sine']:.3e}; "
+            f"surface 3 cases, worst residual {worst['surface']:.3e}\n"
+        )
         # Only the oracle check's own cap is silenced: a scan still warns.
         with warnings.catch_warnings():
             warnings.simplefilter("always")

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubleslit import quadrature
-from doubleslit.config import parse_config, with_truncation, wavenumber
+from doubleslit.config import direction_cosine, parse_config, with_truncation, wavenumber
 from doubleslit.farfield import DirectionAngles, amplitudes, sine_fourier_integral
+from doubleslit.figures import FIGURE_GEOMETRY, figure_config
 from doubleslit.modes import TruncationWarning, enumerate_modes, thickness_attenuation
 from doubleslit.quadrature import (
     GAUSS_NODES,
@@ -144,6 +145,35 @@ class TestBatchesAndPointCap:
         for got, ref in zip(batch.abs_error_estimate, alone):
             assert got == pytest.approx(ref.abs_error_estimate, rel=1e-12, abs=1e-30)
 
+    def test_mixed_panels_batch_matches_each_integrand_alone(self):
+        tol = 1e-11
+        panels = np.array([1, 5, 12, 30])
+        batch = integrate_1d(self.integrand, 0.0, 2.0, tol, panels=panels, batch=len(self.FREQS))
+
+        def integrate_alone(i):
+            return integrate_1d(
+                lambda x: self.integrand(x, np.full(x.size, i)),
+                0.0,
+                2.0,
+                tol,
+                panels=int(panels[i]),
+            )
+
+        alone = [integrate_alone(i) for i in range(len(self.FREQS))]
+        # Each integrand keeps its own panels and its own share of tol.
+        assert batch.evaluations == sum(r.evaluations for r in alone)
+        for got, ref in zip(batch.value, alone):
+            assert got == pytest.approx(ref.value, rel=1e-14, abs=1e-16)
+        for got, ref in zip(batch.abs_error_estimate, alone):
+            assert got == pytest.approx(ref.abs_error_estimate, rel=1e-12, abs=1e-30)
+
+    @pytest.mark.parametrize(
+        "panels", [0, [4, 4, 4], [4, 4, 4, 4, 4], [[4, 4, 4, 4]], [4, 0, 4, 4]]
+    )
+    def test_panel_counts_are_validated(self, panels):
+        with pytest.raises(ValueError):
+            integrate_1d(self.integrand, 0.0, 2.0, 1e-9, panels=panels, batch=len(self.FREQS))
+
     def test_integrand_never_receives_more_than_the_cap(self):
         calls = []
         # With panels > MAX_POINTS even the first evaluation exceeds the cap,
@@ -253,6 +283,43 @@ class TestOracleSineFourier:
         with pytest.raises(ValueError):
             oracle_sine_fourier(4, 0.0, 1.0)
 
+    def test_cases_match_lone_calls(self):
+        p = (1, 7, 39, 3)
+        q = (0.0, -55.0, 97.5, 3 * math.pi / 0.8)
+        L = (3.1e-8, 1.7, 0.5, 0.8)
+        got = oracle_sine_fourier(p, q, L)
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        for value, case in zip(got, zip(p, q, L)):
+            alone = oracle_sine_fourier(*case)
+            assert isinstance(alone, complex)
+            # Only the order in which each case's panel values are summed
+            # differs: a few hundred panels, each rounding within eps of
+            # integral |f| = 2 L / pi.
+            assert abs(value - alone) <= 1e3 * np.finfo(float).eps * 2 * case[2] / math.pi
+
+    def test_scalars_broadcast_against_sequences(self):
+        got = oracle_sine_fourier([1, 3, 5], 2.0, 1.0)
+        assert got.shape == (3,)
+        assert got[1] == pytest.approx(sine_fourier_integral(3, 2.0, 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, q, L, named",
+        [
+            ((1, 4, 3), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), "case 1"),
+            ((1, 3, 0), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), "case 2"),
+            ((1, -3), (0.0, 0.0), (1.0, 1.0), "case 1"),
+            ((1, 2.5), (0.0, 0.0), (1.0, 1.0), "case 1"),
+            ((1, 3), (0.0, 0.0), (1.0, 0.0), "case 1"),
+            ((1, 3), (0.0, 0.0), (-1.0, 1.0), "case 0"),
+            ((1, 3), (0.0, 0.0), (1.0, math.inf), "case 1"),
+            ((1, 3), (math.nan, 0.0), (1.0, 1.0), "case 0"),
+            ((1, 3), (0.0, -math.inf), (1.0, 1.0), "case 1"),
+        ],
+    )
+    def test_invalid_case_is_named(self, p, q, L, named):
+        with pytest.raises(ValueError, match=named):
+            oracle_sine_fourier(p, q, L)
+
 
 class TestOracleSurfaceAmplitude:
     def test_single_mode_axial_analytic_value(self):
@@ -295,6 +362,35 @@ class TestOracleSurfaceAmplitude:
         one = oracle_surface_amplitude(ang, base, tol=1e-9)
         two = oracle_surface_amplitude(ang, doubled, tol=1e-9)
         assert two == pytest.approx(2 * one, rel=1e-9)
+
+    @staticmethod
+    def magnitude_scale(angles, cfg):
+        """The oracle's magnitude scale S: sum |weights| (2b/pi)(2a/pi)/(4 pi R)."""
+        table = enumerate_modes(cfg)
+        k = wavenumber(cfg.beam)
+        a, b, c = cfg.slits.width_a, cfg.slits.length_b, cfg.slits.thickness_c
+        R = cfg.detector.distance_R
+        g = direction_cosine(angles.alpha, math.sin(angles.beta))
+        bracket = 1j * table.k_z + (1j * k - 1.0 / R) * g
+        weights = table.coefficient * np.exp(1j * table.k_z * c) * bracket
+        return np.abs(weights).sum() * (2 * b / math.pi) * (2 * a / math.pi) / (4 * math.pi * R)
+
+    def test_coarse_start_does_not_alias(self):
+        # Each run holds the outer integral's error to tol * S and the inner
+        # integrals' errors, summed over y' in [0, a], to a * (tol * S / a):
+        # a run is within 2 tol S of the integral, and two runs are within
+        # 2 (tol_1 + tol_2) S of each other.  A start too coarse for the
+        # rule would alias to an O(1) error instead.
+        loose, tight = 1e-8, 1e-11
+        for figure_id in sorted(FIGURE_GEOMETRY):
+            cfg = with_truncation(figure_config(figure_id), m_max=3, n_max=3)
+            for beta in (0.0, 0.002, 0.005, 0.011, 0.02):
+                ang = DirectionAngles(cfg.beam.alpha, beta)
+                gap = abs(
+                    oracle_surface_amplitude(ang, cfg, tol=loose)
+                    - oracle_surface_amplitude(ang, cfg, tol=tight)
+                )
+                assert gap <= 2 * (loose + tight) * self.magnitude_scale(ang, cfg)
 
     def test_invalid_direction_rejected(self, small_config):
         class FakeAngles:
