@@ -52,13 +52,10 @@ from .quadrature import (
 from .analysis import (
     DEFAULT_SUPPRESSION_THRESHOLD,
     MissingOrderReport,
-    Peak,
     factorization_audit,
-    find_peaks,
     missing_orders,
     report_rows,
     report_text,
-    two_slit_order_angles,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Pattern analytics: peaks, interference orders, missing-order detection.
+"""Pattern analytics: interference orders, missing-order detection.
 
 The numeric missing-order criterion compares an order's intensity against
 the neighboring order peaks rather than the global maximum, since the
@@ -25,70 +25,11 @@ DEFAULT_SUPPRESSION_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
-class Peak:
-    beta: float
-    intensity: float
-    order_index: Optional[int]
-
-
-@dataclass(frozen=True)
 class MissingOrderReport:
     ratio: float
     analytic_missing: tuple[int, ...]
     numeric_missing: tuple[int, ...]
     suppression_threshold: float
-
-
-def find_peaks(scan: DiffractionScan) -> tuple[Peak, ...]:
-    """Interior local maxima of the total intensity, quadratically refined."""
-    beta = scan.beta
-    inten = scan.intensity_total
-    if beta.size < 3:
-        raise ValueError("scan must have at least 3 rows")
-
-    orders = two_slit_order_angles(scan.config_echo, j_max=10_000)
-    lam = de_broglie_wavelength(scan.config_echo.beam)
-    spacing = lam / (
-        scan.config_echo.slits.width_a + scan.config_echo.slits.separation_d
-    )
-
-    peaks = []
-    rising = inten[1:-1] > inten[:-2]
-    not_falling = inten[1:-1] >= inten[2:]
-    for i in (np.flatnonzero(rising & not_falling) + 1).tolist():
-        denom = inten[i - 1] - 2.0 * inten[i] + inten[i + 1]
-        if denom < 0.0:
-            offset = 0.5 * (inten[i - 1] - inten[i + 1]) / denom
-            b_hat = beta[i] + offset * (beta[i + 1] - beta[i])
-            i_hat = inten[i] - 0.25 * (inten[i - 1] - inten[i + 1]) * offset
-        else:
-            b_hat, i_hat = beta[i], inten[i]
-        order = None
-        if orders:
-            s_hat = math.sin(b_hat)
-            j_near = min(orders, key=lambda oj: abs(math.sin(oj[1]) - s_hat))
-            if abs(math.sin(j_near[1]) - s_hat) <= 0.25 * spacing:
-                order = j_near[0]
-        peaks.append(Peak(beta=float(b_hat), intensity=float(i_hat), order_index=order))
-    return tuple(peaks)
-
-
-def two_slit_order_angles(config: SimConfig, j_max: int) -> tuple[tuple[int, float], ...]:
-    """Angles beta_j = arcsin(j*lambda/(a+d)) of the two-slit maxima in range."""
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    lam = de_broglie_wavelength(config.beam)
-    spacing = config.slits.width_a + config.slits.separation_d
-    # A validated config keeps sin(beta_max) < cos(alpha), inside the
-    # forward hemisphere.
-    s_limit = math.sin(config.detector.beta_max)
-    out = []
-    for j in range(1, j_max + 1):
-        s = j * lam / spacing
-        if s >= s_limit:
-            break
-        out.append((j, math.asin(s)))
-    return tuple(out)
 
 
 def _candidate_orders(spacing_s: float, s_scan_max: float) -> list[int]:

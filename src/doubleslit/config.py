@@ -118,7 +118,6 @@ class SimConfig:
     slits: SlitGeometry
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     truncation: TruncationSpec = field(default_factory=TruncationSpec)
-    evaluation_time: float = 0.0
 
     def __post_init__(self) -> None:
         # Every grid direction must lie in the forward hemisphere.  On
@@ -175,7 +174,6 @@ _SCALAR_KEYS = {
     "m_max": int,
     "n_max": int,
     "evanescent_drop_tol": float,
-    "time_s": float,
 }
 
 # Geometry defaults, in de Broglie wavelengths.
@@ -267,7 +265,6 @@ def parse_config(text: str) -> SimConfig:
         slits=slits,
         detector=detector,
         truncation=truncation,
-        evaluation_time=float(scalars.get("time_s", 0.0)),
     )
 
 
@@ -301,7 +298,6 @@ def serialize_config(config: SimConfig) -> str:
         f"m_max = {t.m_max}",
         f"n_max = {t.n_max}",
         f"evanescent_drop_tol = {t.evanescent_drop_tol!r}",
-        f"time_s = {config.evaluation_time!r}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .config import HBAR, SimConfig, direction_cosine, wavenumber
-from .modes import ModeTerm, complex_product, enumerate_modes, thickness_attenuations
+from .config import SimConfig, direction_cosine, wavenumber
+from .modes import ModeTerm, enumerate_modes, thickness_attenuations
 
 SINGULAR_EPS = kernels.SINGULAR_EPS
 
@@ -115,23 +115,9 @@ class _ScanPlan:
     w_y: np.ndarray  # distinct (2m+1)*pi/a, one entry per surviving m
     amp_grad: np.ndarray  # per-m sums including i*k_z (gradient term)
     amp_field: np.ndarray  # per-m sums of coefficient*attenuation*X_n
-    envelope: complex  # -exp(ikR)/(4 pi R) * exp(-iEt/hbar)
+    envelope: complex  # -exp(ikR)/(4 pi R)
     cterm: complex  # i*k - 1/R
     k: float
-
-
-def _row_sums(m: np.ndarray, n: np.ndarray, terms: np.ndarray, rows: int) -> np.ndarray:
-    """Sum of terms over each row m < rows, added left to right in n from 0j.
-
-    That is the order of a scalar loop; np.sum and np.add.reduceat add
-    pairwise and round differently.  Gaps and the padding past a row's end
-    add 0j, which leaves a sum unchanged.
-    """
-    padded = np.zeros((rows, n.max(initial=-1) + 2), dtype=np.complex128)
-    padded[m, n + 1] = terms
-    # A contiguous copy, so that the padded rows are not kept alive by a
-    # strided view of their last column.
-    return np.ascontiguousarray(np.cumsum(padded, axis=1)[:, -1])
 
 
 def _build_plan(config: SimConfig) -> _ScanPlan:
@@ -151,20 +137,20 @@ def _build_plan(config: SimConfig) -> _ScanPlan:
         dtype=np.complex128,
     )
     attenuation = thickness_attenuations(modes.k_z, slits.thickness_c)
-    base = complex_product(complex_product(modes.coefficient, attenuation), x_n[modes.n])
-    grad = complex_product(base, complex_product(1j, modes.k_z))
+    base = modes.coefficient * attenuation * x_n[modes.n]
+    grad = base * (1j * modes.k_z)
+
+    def row_sums(terms: np.ndarray) -> np.ndarray:
+        return np.bincount(modes.m, terms.real, m_count) + 1j * np.bincount(
+            modes.m, terms.imag, m_count
+        )
 
     w_y = (2 * np.arange(m_count) + 1) * math.pi / slits.width_a
-    envelope = (
-        -cmath.exp(1j * k * R)
-        / (4.0 * math.pi * R)
-        * cmath.exp(-1j * config.beam.energy * config.evaluation_time / HBAR)
-    )
     return _ScanPlan(
         w_y=w_y,
-        amp_grad=_row_sums(modes.m, modes.n, grad, m_count),
-        amp_field=_row_sums(modes.m, modes.n, base, m_count),
-        envelope=envelope,
+        amp_grad=row_sums(grad),
+        amp_field=row_sums(base),
+        envelope=-cmath.exp(1j * k * R) / (4.0 * math.pi * R),
         cterm=1j * k - 1.0 / R,
         k=k,
     )
@@ -182,9 +168,6 @@ def amplitudes(config: SimConfig, betas) -> tuple[np.ndarray, np.ndarray]:
     g = direction_cosine(config.beam.alpha, sinb)
     a = config.slits.width_a
     shift = a + config.slits.separation_d
-    # Each kernel result is bound to a name before the envelope multiplies
-    # it: on a temporary, numpy reuses the buffer and multiplies with the
-    # operands swapped, which changes last-bit rounding.
     psi1 = kernels.mode_sum(plan.w_y, plan.amp_grad, plan.amp_field, q, g, a, 0.0, plan.cterm)
     psi2 = kernels.mode_sum(plan.w_y, plan.amp_grad, plan.amp_field, q, g, a, shift, plan.cterm)
     return plan.envelope * psi1, plan.envelope * psi2

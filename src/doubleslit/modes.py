@@ -76,32 +76,11 @@ def thickness_attenuation(k_z: complex, c: float) -> complex:
     return cmath.exp(1j * k_z * c)
 
 
-def complex_product(a, b) -> np.ndarray:
-    """Elementwise a*b, rounded exactly as Python's complex * complex.
-
-    NumPy's SIMD complex multiply fuses multiply-adds (FMA) on some hosts,
-    which moves the last bit of some products away from the scalar
-    arithmetic's.  Separate real operations round each product on its own.
-    A real operand counts as complex with imaginary part +0.0, as in Python.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    real = a.real * b.real - a.imag * b.imag
-    out = np.empty(real.shape, dtype=np.complex128)
-    out.real = real
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def thickness_attenuations(k_z: np.ndarray, c: float) -> np.ndarray:
-    """thickness_attenuation over an array of axial wavenumbers, bit for bit.
-
-    NumPy's complex exp calls the C library as cmath.exp does; its real
-    exp does not, so the exponent stays complex.
-    """
+    """thickness_attenuation over an array of axial wavenumbers."""
     if c < 0:
         raise ValueError("thickness must be >= 0")
-    return np.exp(complex_product(complex_product(1j, k_z), c))
+    return np.exp(1j * k_z * c)
 
 
 class ModeTable(Sequence):
@@ -156,7 +135,7 @@ ENUMERATION_BLOCK = 1024
 
 def _row_block(m: int, n: np.ndarray, slits, k: float, amp: float):
     """mode_coefficient, axial_wavenumber and the post-thickness weight
-    for modes (m, n[i]), in the scalar functions' operation order."""
+    for modes (m, n[i])."""
     coefficient = 16.0 * amp / ((2 * m + 1) * (2 * n + 1) * math.pi**2)
     ky = (2 * m + 1) * math.pi / slits.width_a
     kx = (2 * n + 1) * math.pi / slits.length_b
@@ -166,8 +145,6 @@ def _row_block(m: int, n: np.ndarray, slits, k: float, amp: float):
     k_z = np.empty(n.shape, dtype=np.complex128)
     k_z.real = np.where(propagating, root, 0.0)
     k_z.imag = np.where(propagating, 0.0, root)
-    # Only evanescent weights are compared, and their attenuation is real:
-    # a product with a real factor rounds alike, fused or not.
     weight = np.abs(coefficient * thickness_attenuations(k_z, slits.thickness_c))
     return coefficient, k_z, propagating, weight
 
@@ -187,11 +164,7 @@ def enumerate_modes(config: SimConfig) -> ModeTable:
     trunc = config.truncation
     amp = config.beam.amplitude
 
-    def weight(index: ModeIndex) -> float:
-        kz = axial_wavenumber(index, slits, k)
-        return abs(mode_coefficient(index, amp) * thickness_attenuation(kz, slits.thickness_c))
-
-    cutoff = trunc.evanescent_drop_tol * weight(ModeIndex(0, 0))
+    cutoff = trunc.evanescent_drop_tol * _row_block(0, np.zeros(1), slits, k, amp)[3][0]
 
     kept: list[tuple] = []  # per block: (m, n, coefficient, k_z, propagating)
     for m in range(trunc.m_max + 1):
@@ -213,7 +186,9 @@ def enumerate_modes(config: SimConfig) -> ModeTable:
             # Weight decreases monotonically in m as well.
             break
 
-    if weight(ModeIndex(trunc.m_max, trunc.n_max)) >= cutoff:
+    # A float n, so that huge caps cannot overflow int64 products.
+    corner = _row_block(trunc.m_max, np.array([float(trunc.n_max)]), slits, k, amp)[3][0]
+    if corner >= cutoff:
         warnings.warn(
             "mode sums truncated at the index caps while terms above the drop "
             f"tolerance remain (m_max={trunc.m_max}, n_max={trunc.n_max})",

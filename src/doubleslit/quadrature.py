@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import HBAR, SimConfig, direction_cosine, wavenumber
+from .config import SimConfig, direction_cosine, wavenumber
 from .modes import enumerate_modes
 
 MAX_DEPTH = 60
@@ -309,9 +309,4 @@ def oracle_surface_amplitude(
         return out
 
     outer = integrate_1d(outer_f, 0.0, a, outer_tol, panels=outer_panels)
-    envelope = (
-        -cmath.exp(1j * k * R)
-        / (4.0 * math.pi * R)
-        * cmath.exp(-1j * config.beam.energy * config.evaluation_time / HBAR)
-    )
-    return envelope * outer.value
+    return -cmath.exp(1j * k * R) / (4.0 * math.pi * R) * outer.value

@@ -1,4 +1,4 @@
-"""Pattern analytics: peaks, interference orders, missing-order reports."""
+"""Pattern analytics: interference orders, missing-order reports."""
 
 import math
 from dataclasses import replace
@@ -14,13 +14,11 @@ from doubleslit.analysis import (
     _nearest_row,
     _peak_within,
     factorization_audit,
-    find_peaks,
     missing_orders,
     report_rows,
     report_text,
-    two_slit_order_angles,
 )
-from doubleslit.config import de_broglie_wavelength, parse_config, with_detector
+from doubleslit.config import de_broglie_wavelength, parse_config
 from doubleslit.farfield import SCAN_COLUMNS, DiffractionScan, scan
 from doubleslit.figures import FIGURE_GEOMETRY, figure_config
 
@@ -36,75 +34,6 @@ def synthetic_scan(config, betas, intensities):
         two_slit_factor=np.full_like(intensities, 4.0),
         intensity_normalized=intensities / intensities.max(),
     )
-
-
-class TestFindPeaks:
-    def test_synthetic_cosine_squared(self, small_config):
-        cfg = with_detector(small_config, beta_min=-0.1, beta_max=0.1, steps=801)
-        betas = cfg.detector.grid()
-        profile = np.cos(50 * betas) ** 2
-        result = find_peaks(synthetic_scan(cfg, betas, profile))
-        step = betas[1] - betas[0]
-        truth = [j * math.pi / 50 for j in range(-1, 2)]
-        found = [p.beta for p in result]
-        assert len(found) == len(truth)
-        for t, f in zip(truth, found):
-            assert abs(t - f) < 1e-3 * step
-
-    def test_monotone_profile_has_no_peaks(self, small_config):
-        cfg = with_detector(small_config, steps=101)
-        betas = cfg.detector.grid()
-        profile = np.exp(betas * 10)
-        assert find_peaks(synthetic_scan(cfg, betas, profile)) == ()
-
-    def test_requires_three_rows(self, small_config):
-        cfg = with_detector(small_config, steps=2)
-        with pytest.raises(ValueError):
-            find_peaks(scan(cfg))
-
-    def test_principal_peak_spacing_matches_order_geometry(self):
-        # a=5, d=10 wavelengths: adjacent two-slit maxima separated by
-        # delta sin(beta) = lambda/(a+d) = 1/15.  The spacing comes from the
-        # factorization, so the single-slit envelope (which drags raw peak
-        # positions a few percent inward) is divided out first.
-        cfg = parse_config(
-            "a = 5 lambda\nb = 1000 lambda\nc = 1 lambda\nd = 10 lambda\n"
-            "m_max = 9\nn_max = 9\nbeta_steps = 2001\n"
-        )
-        result = scan(cfg)
-        peaks = find_peaks(synthetic_scan(cfg, result.beta, result.two_slit_factor))
-        sines = sorted(math.sin(p.beta) for p in peaks)
-        gaps = [b - a for a, b in zip(sines, sines[1:])]
-        assert len(gaps) >= 6
-        for gap in gaps:
-            assert gap == pytest.approx(1.0 / 15.0, rel=0.01)
-
-
-class TestOrderAngles:
-    def test_first_order_of_default_geometry(self, default_config):
-        orders = two_slit_order_angles(default_config, j_max=3)
-        assert orders[0][0] == 1
-        assert orders[0][1] == pytest.approx(math.asin(1.0 / 30.0), rel=1e-10)
-        assert orders[0][1] == pytest.approx(0.033339, abs=1e-5)
-
-    def test_orders_beyond_range_omitted(self, default_config):
-        orders = two_slit_order_angles(default_config, j_max=10_000)
-        lam = de_broglie_wavelength(default_config.beam)
-        spacing = default_config.slits.width_a + default_config.slits.separation_d
-        s_max = math.sin(default_config.detector.beta_max)
-        assert all(j * lam / spacing < s_max for j, _ in orders)
-        assert orders  # the default grid holds several orders
-
-    def test_wide_separation_shrinks_spacing(self):
-        near = parse_config("d = 25 lambda\n")
-        far = parse_config("d = 500 lambda\n")
-        s_near = math.sin(two_slit_order_angles(near, 1)[0][1])
-        s_far = math.sin(two_slit_order_angles(far, 1)[0][1])
-        assert s_far < s_near / 10
-
-    def test_invalid_j_max(self, default_config):
-        with pytest.raises(ValueError):
-            two_slit_order_angles(default_config, 0)
 
 
 class TestMissingOrders:

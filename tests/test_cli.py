@@ -260,8 +260,9 @@ class TestOracleCheckMode:
 
 class TestExitStatusContract:
     def test_validation_failure_is_one(self, tmp_path):
-        cfg_path = write_config(tmp_path, "a = -1 m\n")
-        assert run(RunRequest(cfg_path, str(tmp_path / "x.csv"), "scan")) == EXIT_VALIDATION
+        for text in ("a = -1 m\n", "time_s = 0.0\n"):
+            cfg_path = write_config(tmp_path, text)
+            assert run(RunRequest(cfg_path, str(tmp_path / "x.csv"), "scan")) == EXIT_VALIDATION
 
     def test_missing_config_file_is_one(self, tmp_path):
         req = RunRequest(str(tmp_path / "absent.cfg"), str(tmp_path / "x.csv"), "scan")

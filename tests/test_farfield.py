@@ -157,13 +157,6 @@ class TestSlitAmplitudes:
         two, _ = amplitudes(doubled, betas)
         assert two == pytest.approx(2 * one, rel=1e-12)
 
-    def test_modulus_independent_of_time(self, small_config):
-        later = replace(small_config, evaluation_time=4.2e-9)
-        betas = np.array([0.0, 0.02])
-        now, _ = amplitudes(small_config, betas)
-        then, _ = amplitudes(later, betas)
-        assert np.abs(then) == pytest.approx(np.abs(now), rel=1e-12)
-
     def test_slit2_equals_slit1_at_zero_separation_and_beta(self):
         cfg = parse_config("d = 0 lambda\nm_max = 3\nn_max = 3\n")
         (psi1,), (psi2,) = amplitudes(cfg, np.array([0.0]))
